@@ -10,6 +10,13 @@ cargo fmt --all -- --check
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== perfbench build =="
+# perfbench/ is a workspace of its own, so neither the lints nor the tests
+# above compile it; build it here so an API change in the crates it
+# drives (sefi-nn layers, sefi-experiments) cannot silently break the
+# benchmark.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== cargo test (SEFI_KERNELS=simd) =="
 # The full suite under the default vectorized kernel generation...
 SEFI_KERNELS=simd cargo test --workspace -q

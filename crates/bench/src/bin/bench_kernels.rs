@@ -20,6 +20,7 @@
 use sefi_data::{DataConfig, SyntheticCifar10};
 use sefi_frameworks::{FrameworkKind, Session, SessionConfig};
 use sefi_models::{ModelConfig, ModelKind};
+use sefi_nn::{BatchNorm2d, Layer};
 use sefi_tensor::{
     active_isa_name, conv2d, conv2d_backward, cpu_features, kernel_mode, matmul, matmul_a_bt,
     matmul_at_b, ConvSpec, KernelMode, Tensor,
@@ -135,17 +136,29 @@ enum Label {
     After,
 }
 
-/// Mean ns/iter of `f`, timed until `min_total` has elapsed (at least
-/// `min_iters`, at most `max_iters` runs) after one warmup call.
-fn time_ns(min_total: Duration, min_iters: u64, max_iters: u64, mut f: impl FnMut()) -> f64 {
-    f(); // warmup: page in buffers, trigger lazy init
-    let start = Instant::now();
+/// Mean ns/iter of `f` alone: its input is built by `setup` and its
+/// result dropped outside the timed region. Runs until `min_total` of
+/// timed work has accrued (at least `min_iters`, at most `max_iters` runs)
+/// after one warmup call (pages in buffers, triggers lazy init).
+fn time_ns<T, R>(
+    min_total: Duration,
+    min_iters: u64,
+    max_iters: u64,
+    mut setup: impl FnMut() -> T,
+    mut f: impl FnMut(T) -> R,
+) -> f64 {
+    drop(f(setup())); // warmup
+    let mut timed = Duration::ZERO;
     let mut iters = 0u64;
-    while iters < max_iters && (iters < min_iters || start.elapsed() < min_total) {
-        f();
+    while iters < max_iters && (iters < min_iters || timed < min_total) {
+        let input = setup();
+        let start = Instant::now();
+        let out = f(input);
+        timed += start.elapsed();
+        drop(out);
         iters += 1;
     }
-    start.elapsed().as_nanos() as f64 / iters as f64
+    timed.as_nanos() as f64 / iters as f64
 }
 
 /// Deterministic pseudo-random tensor (same values in every build).
@@ -186,9 +199,15 @@ fn run_benches(file: &mut BenchFile, label: Label, budget: &Budget) {
         let a = fill(&[n, n]);
         let b = fill(&[n, n]);
         let flops = 2.0 * (n * n * n) as f64;
-        let ns = time_ns(budget.gemm_time, 3, 10_000, || {
-            std::hint::black_box(matmul(std::hint::black_box(&a), std::hint::black_box(&b)));
-        });
+        let ns = time_ns(
+            budget.gemm_time,
+            3,
+            10_000,
+            || (),
+            |()| {
+                std::hint::black_box(matmul(std::hint::black_box(&a), std::hint::black_box(&b)));
+            },
+        );
         file.record(&format!("gemm_{n}"), flops, ns, label);
         println!("  gemm_{n:<14} {:>10.1} ns/iter  {:>7.2} GFLOP/s", ns, flops / ns);
     }
@@ -200,9 +219,15 @@ fn run_benches(file: &mut BenchFile, label: Label, budget: &Budget) {
         let a = fill(&[m, k]);
         let b = fill(&[k, n]);
         let flops = 2.0 * (m * k * n) as f64;
-        let ns = time_ns(budget.gemm_time, 3, 10_000, || {
-            std::hint::black_box(matmul(std::hint::black_box(&a), std::hint::black_box(&b)));
-        });
+        let ns = time_ns(
+            budget.gemm_time,
+            3,
+            10_000,
+            || (),
+            |()| {
+                std::hint::black_box(matmul(std::hint::black_box(&a), std::hint::black_box(&b)));
+            },
+        );
         file.record("gemm_ragged_201x173x95", flops, ns, label);
         println!("  gemm_ragged          {ns:>10.1} ns/iter  {:>7.2} GFLOP/s", flops / ns);
     }
@@ -214,14 +239,32 @@ fn run_benches(file: &mut BenchFile, label: Label, budget: &Budget) {
         let a = fill(&[n, n]);
         let b = fill(&[n, n]);
         let flops = 2.0 * (n * n * n) as f64;
-        let ns = time_ns(budget.gemm_time, 3, 10_000, || {
-            std::hint::black_box(matmul_at_b(std::hint::black_box(&a), std::hint::black_box(&b)));
-        });
+        let ns = time_ns(
+            budget.gemm_time,
+            3,
+            10_000,
+            || (),
+            |()| {
+                std::hint::black_box(matmul_at_b(
+                    std::hint::black_box(&a),
+                    std::hint::black_box(&b),
+                ));
+            },
+        );
         file.record("gemm_at_b_256", flops, ns, label);
         println!("  gemm_at_b_256        {ns:>10.1} ns/iter  {:>7.2} GFLOP/s", flops / ns);
-        let ns = time_ns(budget.gemm_time, 3, 10_000, || {
-            std::hint::black_box(matmul_a_bt(std::hint::black_box(&a), std::hint::black_box(&b)));
-        });
+        let ns = time_ns(
+            budget.gemm_time,
+            3,
+            10_000,
+            || (),
+            |()| {
+                std::hint::black_box(matmul_a_bt(
+                    std::hint::black_box(&a),
+                    std::hint::black_box(&b),
+                ));
+            },
+        );
         file.record("gemm_a_bt_256", flops, ns, label);
         println!("  gemm_a_bt_256        {ns:>10.1} ns/iter  {:>7.2} GFLOP/s", flops / ns);
     }
@@ -240,34 +283,65 @@ fn run_benches(file: &mut BenchFile, label: Label, budget: &Budget) {
         let rows = (8 * 16 * 16) as f64;
         let row_len = (16 * 3 * 3) as f64;
         let flops = 3.0 * 2.0 * rows * row_len * 32.0;
-        let ns = time_ns(budget.conv_time, 3, 10_000, || {
-            let y = conv2d(
-                std::hint::black_box(&x),
-                std::hint::black_box(&w),
-                std::hint::black_box(&bias),
-                spec,
-            );
-            std::hint::black_box(y);
-            let g = conv2d_backward(
-                std::hint::black_box(&x),
-                std::hint::black_box(&w),
-                std::hint::black_box(&dout),
-                spec,
-            );
-            std::hint::black_box(g);
-        });
+        let ns = time_ns(
+            budget.conv_time,
+            3,
+            10_000,
+            || (),
+            |()| {
+                let y = conv2d(
+                    std::hint::black_box(&x),
+                    std::hint::black_box(&w),
+                    std::hint::black_box(&bias),
+                    spec,
+                );
+                std::hint::black_box(y);
+                let g = conv2d_backward(
+                    std::hint::black_box(&x),
+                    std::hint::black_box(&w),
+                    std::hint::black_box(&dout),
+                    spec,
+                );
+                std::hint::black_box(g);
+            },
+        );
         file.record("conv_fwd_bwd_8x16x16", flops, ns, label);
         println!("  conv_fwd_bwd         {ns:>10.1} ns/iter  {:>7.2} GFLOP/s", flops / ns);
     }
 
+    // BatchNorm forward(train) + backward at ResNet50's stage-1 shape
+    // (default budget: 4-channel bottleneck layers on 16x16 maps, batch
+    // 32). Wall-clock row: flops = 0. The forward consumes its input, so
+    // each iteration starts from an untimed copy.
+    {
+        let x = fill(&[32, 4, 16, 16]);
+        let dout = fill(x.shape());
+        let mut bn = BatchNorm2d::new("bn", 4);
+        let ns = time_ns(
+            budget.conv_time,
+            3,
+            10_000,
+            || (x.clone(), dout.clone()),
+            |(x, dout)| (bn.forward(x, true), bn.backward(dout)),
+        );
+        file.record("batchnorm_fwd_bwd", 0.0, ns, label);
+        println!("  batchnorm_fwd_bwd    {ns:>10.1} ns/iter");
+    }
+
     // Full training epochs, one per model (wall-clock rows: flops = 0).
+    // Building the session (model init, checkpoint plumbing) is untimed.
     let d = data();
     for model in ModelKind::all() {
-        let ns =
-            time_ns(Duration::from_secs(2), budget.epoch_min_iters, budget.epoch_max_iters, || {
-                let mut s = session(model);
+        let ns = time_ns(
+            Duration::from_secs(2),
+            budget.epoch_min_iters,
+            budget.epoch_max_iters,
+            || session(model),
+            |mut s| {
                 std::hint::black_box(s.train_to(&d, 1));
-            });
+                s
+            },
+        );
         file.record(&format!("train_epoch_{}", model.id()), 0.0, ns, label);
         println!("  train_epoch_{:<9} {:>12.0} ns/iter ({:.3} s)", model.id(), ns, ns / 1e9);
     }

@@ -4,6 +4,12 @@
 //! checkpoints (so the corrupter can hit them — they are part of the model
 //! file, exactly like in the real frameworks) but the optimizer never
 //! touches them.
+//!
+//! Every per-channel statistic is one f64 chain over that channel's
+//! elements in (n, k) order. The reductions advance a group of channels
+//! (8, then 4, 2, 1) together, so independent chains overlap instead of
+//! waiting on each other's add latency; no chain is reordered, so the bits
+//! equal a one-channel-at-a-time loop (DESIGN.md §6).
 
 use super::{Layer, ParamRefMut, StateRefMut};
 use sefi_tensor::Tensor;
@@ -12,6 +18,10 @@ const EPS: f32 = 1e-5;
 const MOMENTUM: f32 = 0.9;
 
 /// Per-channel batch normalization for rank-4 inputs.
+///
+/// Normalizes in place (the output reuses the input tensor, the input
+/// gradient reuses the upstream one) and keeps its backward cache in
+/// buffers reused across steps.
 pub struct BatchNorm2d {
     name: String,
     gamma: Tensor,
@@ -20,14 +30,12 @@ pub struct BatchNorm2d {
     dbeta: Tensor,
     running_mean: Tensor,
     running_var: Tensor,
-    // Backward cache.
-    cache: Option<BnCache>,
-}
-
-struct BnCache {
-    xhat: Tensor,
+    /// Normalized input of the last training forward.
+    xhat: Vec<f32>,
+    /// Per-channel `1 / sqrt(var + eps)` of the last training forward.
     inv_std: Vec<f32>,
-    centered: Tensor,
+    /// A training forward filled the cache and no backward consumed it.
+    cached: bool,
 }
 
 impl BatchNorm2d {
@@ -41,7 +49,9 @@ impl BatchNorm2d {
             dbeta: Tensor::zeros(&[channels]),
             running_mean: Tensor::zeros(&[channels]),
             running_var: Tensor::full(&[channels], 1.0),
-            cache: None,
+            xhat: Vec::new(),
+            inv_std: Vec::new(),
+            cached: false,
         }
     }
 
@@ -51,131 +61,157 @@ impl BatchNorm2d {
     }
 }
 
+/// `(n, c, h·w)` of an NCHW shape.
+fn dims(s: &[usize]) -> (usize, usize, usize) {
+    assert_eq!(s.len(), 4, "BatchNorm2d expects NCHW");
+    (s[0], s[1], s[2] * s[3])
+}
+
+/// Per-channel f64 sums over two same-shaped NCHW buffers: for channel
+/// `ci`, `sums[ci][r]` is `term(ci, a[i], b[i])[r]` added over the
+/// channel's elements `i` in (n, k) order, starting from 0.
+fn channel_sums<const R: usize>(
+    a: &[f32],
+    b: &[f32],
+    (n, c, plane): (usize, usize, usize),
+    term: impl Fn(usize, f32, f32) -> [f64; R] + Copy,
+) -> Vec<[f64; R]> {
+    let mut sums = vec![[0.0; R]; c];
+    let mut c0 = 0;
+    while c - c0 >= 8 {
+        group_sums::<8, R>(a, b, (n, c, plane), c0, term, &mut sums);
+        c0 += 8;
+    }
+    if c - c0 >= 4 {
+        group_sums::<4, R>(a, b, (n, c, plane), c0, term, &mut sums);
+        c0 += 4;
+    }
+    if c - c0 >= 2 {
+        group_sums::<2, R>(a, b, (n, c, plane), c0, term, &mut sums);
+        c0 += 2;
+    }
+    if c - c0 >= 1 {
+        group_sums::<1, R>(a, b, (n, c, plane), c0, term, &mut sums);
+    }
+    sums
+}
+
+/// [`channel_sums`] for channels `c0 .. c0 + G`, advanced together: each
+/// step adds element `k` of all `G` planes into their own accumulators.
+#[inline(always)]
+fn group_sums<const G: usize, const R: usize>(
+    a: &[f32],
+    b: &[f32],
+    (n, c, plane): (usize, usize, usize),
+    c0: usize,
+    term: impl Fn(usize, f32, f32) -> [f64; R],
+    sums: &mut [[f64; R]],
+) {
+    let mut acc = [[0.0f64; R]; G];
+    for ni in 0..n {
+        let lo = (ni * c + c0) * plane;
+        let pa: [&[f32]; G] = std::array::from_fn(|j| &a[lo + j * plane..][..plane]);
+        let pb: [&[f32]; G] = std::array::from_fn(|j| &b[lo + j * plane..][..plane]);
+        for k in 0..plane {
+            for j in 0..G {
+                let t = term(c0 + j, pa[j][k], pb[j][k]);
+                for r in 0..R {
+                    acc[j][r] += t[r];
+                }
+            }
+        }
+    }
+    sums[c0..c0 + G].copy_from_slice(&acc);
+}
+
 impl Layer for BatchNorm2d {
     fn layer_name(&self) -> &str {
         &self.name
     }
 
-    fn forward(&mut self, x: Tensor, train: bool) -> Tensor {
-        let s = x.shape().to_vec();
-        assert_eq!(s.len(), 4, "BatchNorm2d expects NCHW");
-        let (n, c, h, w) = (s[0], s[1], s[2], s[3]);
+    fn forward(&mut self, mut x: Tensor, train: bool) -> Tensor {
+        let (n, c, plane) = dims(x.shape());
         assert_eq!(c, self.channels(), "channel mismatch");
-        let m = (n * h * w) as f32;
-        let plane = h * w;
+        let g = self.gamma.data();
+        let b = self.beta.data();
+
+        if !train {
+            let (rm, rv) = (self.running_mean.data(), self.running_var.data());
+            for (i, chunk) in x.data_mut().chunks_exact_mut(plane).enumerate() {
+                let ci = i % c;
+                let (mu, is) = (rm[ci], 1.0 / (rv[ci] + EPS).sqrt());
+                for v in chunk {
+                    *v = g[ci] * ((*v - mu) * is) + b[ci];
+                }
+            }
+            return x;
+        }
+
+        let m = (n * plane) as f32;
         let src = x.data();
+        let mean: Vec<f32> = channel_sums(src, src, (n, c, plane), |_, v, _| [v as f64])
+            .iter()
+            .map(|s| (s[0] / m as f64) as f32)
+            .collect();
+        let var: Vec<f32> = channel_sums(src, src, (n, c, plane), |ci, v, _| {
+            let d = v - mean[ci];
+            [(d * d) as f64]
+        })
+        .iter()
+        .map(|s| (s[0] / m as f64) as f32)
+        .collect();
+        // Update running stats.
+        for (rm, &mu) in self.running_mean.data_mut().iter_mut().zip(&mean) {
+            *rm = MOMENTUM * *rm + (1.0 - MOMENTUM) * mu;
+        }
+        for (rv, &v) in self.running_var.data_mut().iter_mut().zip(&var) {
+            *rv = MOMENTUM * *rv + (1.0 - MOMENTUM) * v;
+        }
+        self.inv_std.clear();
+        self.inv_std.extend(var.iter().map(|&v| 1.0 / (v + EPS).sqrt()));
 
-        let (mean, var): (Vec<f32>, Vec<f32>) = if train {
-            let mut mean = vec![0.0f32; c];
-            let mut var = vec![0.0f32; c];
-            for ci in 0..c {
-                let mut acc = 0.0f64;
-                for ni in 0..n {
-                    let base = (ni * c + ci) * plane;
-                    for &v in &src[base..base + plane] {
-                        acc += v as f64;
-                    }
-                }
-                mean[ci] = (acc / m as f64) as f32;
-                let mut vacc = 0.0f64;
-                for ni in 0..n {
-                    let base = (ni * c + ci) * plane;
-                    for &v in &src[base..base + plane] {
-                        let d = v - mean[ci];
-                        vacc += (d * d) as f64;
-                    }
-                }
-                var[ci] = (vacc / m as f64) as f32;
-            }
-            // Update running stats.
-            for (rm, &m) in self.running_mean.data_mut().iter_mut().zip(&mean) {
-                *rm = MOMENTUM * *rm + (1.0 - MOMENTUM) * m;
-            }
-            for (rv, &v) in self.running_var.data_mut().iter_mut().zip(&var) {
-                *rv = MOMENTUM * *rv + (1.0 - MOMENTUM) * v;
-            }
-            (mean, var)
-        } else {
-            (self.running_mean.data().to_vec(), self.running_var.data().to_vec())
-        };
-
-        let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + EPS).sqrt()).collect();
-        let mut xhat = Tensor::zeros(&s);
-        let mut centered = Tensor::zeros(&s);
-        let mut out = Tensor::zeros(&s);
-        {
-            let xh = xhat.data_mut();
-            let ce = centered.data_mut();
-            let o = out.data_mut();
-            let g = self.gamma.data();
-            let b = self.beta.data();
-            for ni in 0..n {
-                for ci in 0..c {
-                    let base = (ni * c + ci) * plane;
-                    for k in 0..plane {
-                        let idx = base + k;
-                        let cent = src[idx] - mean[ci];
-                        let nh = cent * inv_std[ci];
-                        ce[idx] = cent;
-                        xh[idx] = nh;
-                        o[idx] = g[ci] * nh + b[ci];
-                    }
-                }
+        self.xhat.resize(x.len(), 0.0);
+        let planes = x.data_mut().chunks_exact_mut(plane).zip(self.xhat.chunks_exact_mut(plane));
+        for (i, (chunk, xh)) in planes.enumerate() {
+            let ci = i % c;
+            let (mu, is) = (mean[ci], self.inv_std[ci]);
+            for (v, h) in chunk.iter_mut().zip(xh) {
+                let nh = (*v - mu) * is;
+                *h = nh;
+                *v = g[ci] * nh + b[ci];
             }
         }
-        if train {
-            self.cache = Some(BnCache { xhat, inv_std, centered });
-        }
-        out
+        self.cached = true;
+        x
     }
 
-    fn backward(&mut self, dout: Tensor) -> Tensor {
-        let cache = self.cache.take().expect("backward before forward(train)");
-        let s = dout.shape().to_vec();
-        let (n, c, h, w) = (s[0], s[1], s[2], s[3]);
-        let plane = h * w;
+    fn backward(&mut self, mut dout: Tensor) -> Tensor {
+        assert!(std::mem::take(&mut self.cached), "backward before forward(train)");
+        let (n, c, plane) = dims(dout.shape());
+        assert_eq!(dout.len(), self.xhat.len(), "backward shape differs from forward");
         let m = (n * plane) as f32;
-        let d = dout.data();
-        let xh = cache.xhat.data();
-        let cent = cache.centered.data();
-        let g = self.gamma.data().to_vec();
 
-        // Per-channel reductions (f64 accumulators).
-        let mut sum_d = vec![0.0f64; c];
-        let mut sum_d_xhat = vec![0.0f64; c];
-        for ni in 0..n {
-            for ci in 0..c {
-                let base = (ni * c + ci) * plane;
-                for k in 0..plane {
-                    let idx = base + k;
-                    sum_d[ci] += d[idx] as f64;
-                    sum_d_xhat[ci] += (d[idx] * xh[idx]) as f64;
-                }
-            }
-        }
-        for ci in 0..c {
-            self.dbeta.data_mut()[ci] += sum_d[ci] as f32;
-            self.dgamma.data_mut()[ci] += sum_d_xhat[ci] as f32;
+        let sums = channel_sums(dout.data(), &self.xhat, (n, c, plane), |_, d, xh| {
+            [d as f64, (d * xh) as f64]
+        });
+        let (dgamma, dbeta) = (self.dgamma.data_mut(), self.dbeta.data_mut());
+        for (ci, s) in sums.iter().enumerate() {
+            dbeta[ci] += s[0] as f32;
+            dgamma[ci] += s[1] as f32;
         }
 
         // dx = (gamma * inv_std / m) * (m*dout - sum_d - xhat * sum_d_xhat)
-        let mut dx = Tensor::zeros(&s);
-        {
-            let o = dx.data_mut();
-            for ni in 0..n {
-                for ci in 0..c {
-                    let base = (ni * c + ci) * plane;
-                    let k1 = g[ci] * cache.inv_std[ci] / m;
-                    for k in 0..plane {
-                        let idx = base + k;
-                        o[idx] =
-                            k1 * (m * d[idx] - sum_d[ci] as f32 - xh[idx] * sum_d_xhat[ci] as f32);
-                    }
-                }
+        let g = self.gamma.data();
+        let planes = dout.data_mut().chunks_exact_mut(plane).zip(self.xhat.chunks_exact(plane));
+        for (i, (chunk, xh)) in planes.enumerate() {
+            let ci = i % c;
+            let k1 = g[ci] * self.inv_std[ci] / m;
+            let (sd, sdx) = (sums[ci][0] as f32, sums[ci][1] as f32);
+            for (d, &h) in chunk.iter_mut().zip(xh) {
+                *d = k1 * (m * *d - sd - h * sdx);
             }
         }
-        let _ = cent;
-        dx
+        dout
     }
 
     fn params_mut(&mut self) -> Vec<ParamRefMut<'_>> {
@@ -190,6 +226,10 @@ impl Layer for BatchNorm2d {
             StateRefMut { name: "running_mean".into(), value: &mut self.running_mean },
             StateRefMut { name: "running_var".into(), value: &mut self.running_var },
         ]
+    }
+
+    fn workspace_bytes(&self) -> usize {
+        (self.xhat.capacity() + self.inv_std.capacity()) * std::mem::size_of::<f32>()
     }
 }
 
@@ -266,6 +306,32 @@ mod tests {
             let ana = dx.data()[flat] as f64;
             assert!((num - ana).abs() < 5e-2 * (1.0 + ana.abs()), "dx[{flat}] {num} vs {ana}");
         }
+    }
+
+    #[test]
+    fn cache_buffers_are_reported_and_reused() {
+        let mut bn = BatchNorm2d::new("bn", 3);
+        assert_eq!(bn.workspace_bytes(), 0);
+        let y = bn.forward(input(), true);
+        let _ = bn.backward(y);
+        let retained = bn.workspace_bytes();
+        // xhat for 2·3·2·2 elements plus one inv_std per channel.
+        assert!(retained >= (24 + 3) * 4, "{retained}");
+        for _ in 0..3 {
+            let y = bn.forward(input(), true);
+            let _ = bn.backward(y);
+            let _ = bn.forward(input(), false);
+        }
+        assert_eq!(bn.workspace_bytes(), retained);
+    }
+
+    #[test]
+    #[should_panic(expected = "backward before forward(train)")]
+    fn backward_consumes_the_cache() {
+        let mut bn = BatchNorm2d::new("bn", 3);
+        let y = bn.forward(input(), true);
+        let dx = bn.backward(y);
+        let _ = bn.backward(dx);
     }
 
     #[test]

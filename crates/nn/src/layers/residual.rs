@@ -15,20 +15,13 @@ pub struct Residual {
     main: Vec<Box<dyn Layer>>,
     shortcut: Vec<Box<dyn Layer>>,
     relu_mask: Vec<bool>,
-    cached_input: Option<Tensor>,
 }
 
 impl Residual {
     /// Build from branch layer stacks. An empty `shortcut` means identity.
     pub fn new(name: &str, main: Vec<Box<dyn Layer>>, shortcut: Vec<Box<dyn Layer>>) -> Self {
         assert!(!main.is_empty(), "residual main branch cannot be empty");
-        Residual {
-            name: name.to_string(),
-            main,
-            shortcut,
-            relu_mask: Vec::new(),
-            cached_input: None,
-        }
+        Residual { name: name.to_string(), main, shortcut, relu_mask: Vec::new() }
     }
 }
 
@@ -38,7 +31,6 @@ impl Layer for Residual {
     }
 
     fn forward(&mut self, x: Tensor, train: bool) -> Tensor {
-        self.cached_input = Some(x.clone());
         let mut m = x.clone();
         for layer in &mut self.main {
             m = layer.forward(m, train);
@@ -71,7 +63,6 @@ impl Layer for Residual {
 
     fn backward(&mut self, mut dout: Tensor) -> Tensor {
         assert_eq!(dout.len(), self.relu_mask.len(), "backward before forward");
-        self.cached_input.take().expect("backward before forward");
         for (g, &pass) in dout.data_mut().iter_mut().zip(&self.relu_mask) {
             if !pass {
                 *g = 0.0;
