@@ -62,7 +62,8 @@ rm -rf "$bench_dir"
 echo "== checkpoint I/O bench smoke =="
 # v2's indexed open + single-section read must beat a v1 full decode for
 # single-tensor access even at smoke length (the committed BENCH_ckpt_io.json
-# carries the full-length run, which clears ~18x; smoke allows 3x slack).
+# carries the full-length run, which clears ~12x since slice-by-8 CRC made
+# the full decode it divides by ~4x faster; smoke allows 3x slack).
 io_dir="$(mktemp -d)"
 cargo run -q --release -p sefi-bench --bin bench_ckpt_io -- \
   --smoke --out "$io_dir/bench.json" --assert-lazy-speedup 3.0
@@ -185,10 +186,14 @@ rm -rf "$fx_dir"
 echo "== forensics bench smoke =="
 # Quick pass of the forensics benchmark: its built-in checks (salvage
 # restores pristine bytes; fleet verdicts identical at 1/2/4/8 workers)
-# fail the run on violation.
+# fail the run on violation, and so do the throughput floors on minting
+# parities and on the ECC scrub scan, which keep the word-parallel Hamming
+# codec and slice-by-8 CRC from silently regressing (the bit-serial codec
+# ran these rows at ~5 MB/s; the committed full run clears ~1200 and ~600).
 forens_bench="$(mktemp -d)"
 cargo run -q --release -p sefi-bench --bin bench_forensics -- \
-  --smoke --out "$forens_bench/bench.json" > /dev/null
+  --smoke --out "$forens_bench/bench.json" \
+  --assert-min-mbps protect:100 --assert-min-mbps scan_clean_ecc:100 > /dev/null
 rm -rf "$forens_bench"
 
 echo "== smoke campaign: forensics sweep =="

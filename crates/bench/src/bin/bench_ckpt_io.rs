@@ -9,35 +9,28 @@
 //! in memory, alongside full encode/decode throughput so the per-section
 //! bookkeeping overhead stays visible.
 //!
+//! `--baseline PATH` names a file written by an earlier build (e.g. of the
+//! previous commit, on the same host) whose row times become each entry's
+//! `before_ns_per_iter`.
+//!
 //! Usage:
-//!   bench_ckpt_io [--out PATH] [--smoke] [--assert-lazy-speedup FACTOR]
+//!   bench_ckpt_io [--out PATH] [--smoke] [--baseline PATH]
+//!                 [--assert-lazy-speedup FACTOR]
 
-use sefi_bench::layered_checkpoint;
+use sefi_bench::{layered_checkpoint, time_ns, Baseline, Entry, Host};
 use sefi_hdf5::{Dtype, H5File};
 use serde::{Deserialize, Serialize};
-use std::time::{Duration, Instant};
-
-/// One measured operation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct Entry {
-    /// Stable identifier, e.g. `v2_lazy_single_dataset`.
-    name: String,
-    /// Mean wall time per iteration.
-    ns_per_iter: f64,
-    /// Payload throughput where a whole file is processed (0 for the lazy
-    /// rows, which deliberately touch only a sliver of it).
-    mb_per_s: f64,
-}
+use std::time::Duration;
 
 /// The on-disk result file.
 #[derive(Debug, Serialize, Deserialize)]
 struct BenchFile {
-    /// File format version.
+    /// File format version (2 added the host block and baseline columns).
     schema: u32,
     /// What produced the numbers.
     note: String,
-    /// Hardware threads visible during the run.
-    host_threads: usize,
+    /// Host conditions of the run.
+    host: Host,
     /// Datasets in the fixture checkpoint.
     fixture_datasets: usize,
     /// Encoded v1 size in bytes.
@@ -52,24 +45,12 @@ struct BenchFile {
     lazy_speedup_vs_v1_disk_load: f64,
 }
 
-/// Mean ns/iter of `f` after one warmup call, timed until `min_total`
-/// elapses (at least 3, at most `max_iters` runs).
-fn time_ns(min_total: Duration, max_iters: u64, mut f: impl FnMut()) -> f64 {
-    f();
-    let start = Instant::now();
-    let mut iters = 0u64;
-    while iters < max_iters && (iters < 3 || start.elapsed() < min_total) {
-        f();
-        iters += 1;
-    }
-    start.elapsed().as_nanos() as f64 / iters as f64
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out = "BENCH_ckpt_io.json".to_string();
     let mut smoke = false;
     let mut assert_lazy: Option<f64> = None;
+    let mut baseline = Baseline::default();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -78,6 +59,10 @@ fn main() {
                 out = args[i].clone();
             }
             "--smoke" => smoke = true,
+            "--baseline" => {
+                i += 1;
+                baseline = Baseline::load(&args[i]);
+            }
             "--assert-lazy-speedup" => {
                 i += 1;
                 assert_lazy = Some(args[i].parse().expect("speedup factor"));
@@ -107,9 +92,8 @@ fn main() {
     println!("bench_ckpt_io: {} datasets, v1 {} B, v2 {} B -> {out}", 64, v1.len(), v2.len());
     let mut entries = Vec::new();
     let mut record = |name: &str, ns: f64, whole_file: bool| {
-        let mb_per_s = if whole_file { mb * 1e9 / ns } else { 0.0 };
         println!("  {name:<24} {ns:>12.1} ns/iter");
-        entries.push(Entry { name: name.into(), ns_per_iter: ns, mb_per_s });
+        entries.push(baseline.entry(name, ns, whole_file.then_some(mb)));
         ns
     };
 
@@ -161,11 +145,11 @@ fn main() {
     let _ = std::fs::remove_dir_all(&dir);
 
     let result = BenchFile {
-        schema: 1,
+        schema: 2,
         note: "v1 vs v2 checkpoint container I/O; regenerate with \
                `cargo run --release -p sefi-bench --bin bench_ckpt_io`"
             .into(),
-        host_threads: std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1),
+        host: Host::detect(smoke),
         fixture_datasets: 64,
         v1_bytes: v1.len(),
         v2_bytes: v2.len(),

@@ -12,26 +12,22 @@
 //! the pristine bytes exactly, and the fleet scan must produce identical
 //! per-file verdicts at every worker count.
 //!
+//! `--baseline PATH` names a file written by an earlier build (e.g. of the
+//! previous commit, on the same host) whose row times become each entry's
+//! `before_ns_per_iter`. `--assert-min-mbps ROW:MBPS` fails the run when a
+//! whole-file row's throughput falls below the floor, so the Hamming and
+//! CRC codecs cannot silently regress.
+//!
 //! Usage:
-//!   bench_forensics [--out PATH] [--smoke]
+//!   bench_forensics [--out PATH] [--smoke] [--baseline PATH]
+//!                   [--assert-min-mbps ROW:MBPS]...
 
 use rayon::prelude::*;
-use sefi_bench::layered_checkpoint;
+use sefi_bench::{layered_checkpoint, time_ns, Baseline, Entry, Host};
 use sefi_hdf5::forensics::{salvage, scan_bytes, ScanReport};
 use sefi_hdf5::{Dtype, EccSidecar, FileIndex, H5File, LoadPolicy};
 use serde::{Deserialize, Serialize};
-use std::time::{Duration, Instant};
-
-/// One measured operation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct Entry {
-    /// Stable identifier, e.g. `scan_clean_ecc`.
-    name: String,
-    /// Mean wall time per iteration.
-    ns_per_iter: f64,
-    /// Checkpoint-payload throughput where the whole file is processed.
-    mb_per_s: f64,
-}
+use std::time::Duration;
 
 /// One fleet-sweep scaling row.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -47,12 +43,12 @@ struct FleetRow {
 /// The on-disk result file.
 #[derive(Debug, Serialize, Deserialize)]
 struct BenchFile {
-    /// File format version.
+    /// File format version (2 added the host block and baseline columns).
     schema: u32,
     /// What produced the numbers.
     note: String,
-    /// Hardware threads visible during the run.
-    host_threads: usize,
+    /// Host conditions of the run.
+    host: Host,
     /// Encoded v2 fixture size in bytes.
     v2_bytes: usize,
     /// Serialized sidecar size in bytes.
@@ -67,19 +63,6 @@ struct BenchFile {
     fleet: Vec<FleetRow>,
     /// Correct-policy load time / quarantine load time on a clean file.
     correct_overhead_clean: f64,
-}
-
-/// Mean ns/iter of `f` after one warmup call, timed until `min_total`
-/// elapses (at least 3, at most `max_iters` runs).
-fn time_ns(min_total: Duration, max_iters: u64, mut f: impl FnMut()) -> f64 {
-    f();
-    let start = Instant::now();
-    let mut iters = 0u64;
-    while iters < max_iters && (iters < 3 || start.elapsed() < min_total) {
-        f();
-        iters += 1;
-    }
-    start.elapsed().as_nanos() as f64 / iters as f64
 }
 
 /// Sorted per-file scan verdicts of one fleet sweep — the value that must
@@ -99,6 +82,8 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out = "BENCH_forensics.json".to_string();
     let mut smoke = false;
+    let mut baseline = Baseline::default();
+    let mut floors: Vec<(String, f64)> = Vec::new();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -107,6 +92,15 @@ fn main() {
                 out = args[i].clone();
             }
             "--smoke" => smoke = true,
+            "--baseline" => {
+                i += 1;
+                baseline = Baseline::load(&args[i]);
+            }
+            "--assert-min-mbps" => {
+                i += 1;
+                let (name, mbps) = args[i].split_once(':').expect("--assert-min-mbps ROW:MBPS");
+                floors.push((name.to_string(), mbps.parse().expect("MB/s floor")));
+            }
             other => panic!("unknown argument {other}"),
         }
         i += 1;
@@ -136,9 +130,8 @@ fn main() {
     );
     let mut entries = Vec::new();
     let mut record = |name: &str, ns: f64, whole_file: bool| {
-        let mb_per_s = if whole_file { mb * 1e9 / ns } else { 0.0 };
         println!("  {name:<24} {ns:>12.1} ns/iter");
-        entries.push(Entry { name: name.into(), ns_per_iter: ns, mb_per_s });
+        entries.push(baseline.entry(name, ns, whole_file.then_some(mb)));
         ns
     };
 
@@ -266,12 +259,12 @@ fn main() {
     println!("  fleet verdicts identical across 1/2/4/8 workers: ok");
 
     let result = BenchFile {
-        schema: 1,
+        schema: 2,
         note: "checkpoint forensics: protect/scan/salvage/ECC-load costs and \
                fleet-scan scaling; regenerate with \
                `cargo run --release -p sefi-bench --bin bench_forensics`"
             .into(),
-        host_threads: std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1),
+        host: Host::detect(smoke),
         v2_bytes: v2.len(),
         sidecar_bytes: sidecar_ser.len(),
         sidecar_overhead: sidecar_ser.len() as f64 / v2.len() as f64,
@@ -286,4 +279,24 @@ fn main() {
         "  correct-policy overhead on a clean load: {:.2}x vs quarantine",
         result.correct_overhead_clean
     );
+
+    let mut floors_ok = true;
+    for (name, want) in &floors {
+        let got = result
+            .entries
+            .iter()
+            .find(|e| &e.name == name)
+            .filter(|e| e.mb_per_s > 0.0)
+            .unwrap_or_else(|| panic!("--assert-min-mbps: no whole-file row {name}"))
+            .mb_per_s;
+        let ok = got >= *want;
+        println!(
+            "  assert {name}: {got:.1} MB/s >= {want:.1} ... {}",
+            if ok { "ok" } else { "FAIL" }
+        );
+        floors_ok &= ok;
+    }
+    if !floors_ok {
+        std::process::exit(1);
+    }
 }

@@ -14,10 +14,10 @@
 //! Usage:
 //!   bench_precision [--out PATH] [--smoke] [--assert-size-order]
 
-use sefi_bench::layered_checkpoint;
+use sefi_bench::{layered_checkpoint, time_ns};
 use sefi_hdf5::{Dtype, H5File};
 use serde::{Deserialize, Serialize};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One storage format's measurements.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -51,19 +51,6 @@ struct BenchFile {
     fixture_elements: usize,
     /// Per-format size/time curve, narrowest format first.
     formats: Vec<FormatEntry>,
-}
-
-/// Mean ns/iter of `f` after one warmup call, timed until `min_total`
-/// elapses (at least 3, at most `max_iters` runs).
-fn time_ns(min_total: Duration, max_iters: u64, mut f: impl FnMut()) -> f64 {
-    f();
-    let start = Instant::now();
-    let mut iters = 0u64;
-    while iters < max_iters && (iters < 3 || start.elapsed() < min_total) {
-        f();
-        iters += 1;
-    }
-    start.elapsed().as_nanos() as f64 / iters as f64
 }
 
 fn main() {

@@ -137,10 +137,9 @@ pub fn from_flat_bytes(bytes: &[u8]) -> Result<H5File> {
 }
 
 impl H5File {
-    /// Write the flat (NPZ-style) serialization to disk.
+    /// Write the flat (NPZ-style) serialization to disk, atomically.
     pub fn save_flat(&self, path: impl AsRef<std::path::Path>) -> Result<()> {
-        std::fs::write(path.as_ref(), to_flat_bytes(self))
-            .map_err(|e| Error::Io(path.as_ref().display().to_string(), e.to_string()))
+        crate::write_atomic(path.as_ref(), &to_flat_bytes(self))
     }
 
     /// Read a flat (NPZ-style) archive from disk.

@@ -19,59 +19,62 @@ pub enum DecodeResult {
     DoubleError(u64),
 }
 
-const PARITY_POSITIONS: [u32; 7] = [1, 2, 4, 8, 16, 32, 64];
-
-/// Is `pos` (1-based codeword position) a Hamming parity position?
-fn is_parity_pos(pos: u32) -> bool {
-    pos.is_power_of_two()
-}
-
-/// Lay out the 64 data bits into codeword positions 1..=71 (skipping the
-/// seven Hamming parity positions; the 72nd codeword bit is the overall
-/// parity, carried in the parity byte), as a u128 bitset by position.
-fn spread(data: u64) -> u128 {
-    let mut cw = 0u128;
-    let mut bit = 0u32;
-    for pos in 1u32..=71 {
-        if is_parity_pos(pos) {
-            continue;
+/// Data bit `b` lives at codeword position `DATA_POS[b]`: positions
+/// 1..=71 in order, skipping the seven Hamming parity positions (the
+/// powers of two). The 72nd codeword bit is the overall parity, carried in
+/// bit 7 of the parity byte.
+const DATA_POS: [u8; 64] = {
+    let mut out = [0u8; 64];
+    let mut bit = 0;
+    let mut pos = 1u8;
+    while pos <= 71 {
+        if !pos.is_power_of_two() {
+            out[bit] = pos;
+            bit += 1;
         }
-        if (data >> bit) & 1 == 1 {
-            cw |= 1u128 << pos;
-        }
-        bit += 1;
+        pos += 1;
     }
-    cw
-}
+    out
+};
 
-/// Inverse of [`spread`].
-fn gather(cw: u128) -> u64 {
-    let mut data = 0u64;
-    let mut bit = 0u32;
-    for pos in 1u32..=71 {
-        if is_parity_pos(pos) {
-            continue;
-        }
-        if (cw >> pos) & 1 == 1 {
-            data |= 1u64 << bit;
-        }
-        bit += 1;
-    }
-    data
-}
-
-/// Hamming parities of a codeword bitset (even parity over covered
-/// positions, parity positions excluded from coverage computation).
-fn hamming_parities(cw: u128) -> u8 {
-    let mut out = 0u8;
-    for (i, &p) in PARITY_POSITIONS.iter().enumerate() {
-        let mut acc = 0u32;
-        for pos in 1u32..=71 {
-            if !is_parity_pos(pos) && pos & p != 0 && (cw >> pos) & 1 == 1 {
-                acc ^= 1;
+/// `PARITY_MASK[i]` selects the data bits whose codeword position has bit
+/// `i` set — exactly the bits Hamming parity `i` (position 2^i) covers.
+const PARITY_MASK: [u64; 7] = {
+    let mut out = [0u64; 7];
+    let mut bit = 0;
+    while bit < 64 {
+        let mut i = 0;
+        while i < 7 {
+            if DATA_POS[bit] & (1 << i) != 0 {
+                out[i] |= 1 << bit;
             }
+            i += 1;
         }
-        out |= (acc as u8) << i;
+        bit += 1;
+    }
+    out
+};
+
+/// Marks a codeword position that holds no data bit (0 or a parity
+/// position) in [`POS_TO_BIT`].
+const NOT_DATA: u8 = u8::MAX;
+
+/// Inverse of [`DATA_POS`]: codeword position → data bit, or [`NOT_DATA`].
+const POS_TO_BIT: [u8; 72] = {
+    let mut out = [NOT_DATA; 72];
+    let mut bit = 0;
+    while bit < 64 {
+        out[DATA_POS[bit] as usize] = bit as u8;
+        bit += 1;
+    }
+    out
+};
+
+/// The seven Hamming parities of a data word, parity `i` in bit `i`.
+fn hamming7(data: u64) -> u8 {
+    let mut out = 0u8;
+    for (i, &mask) in PARITY_MASK.iter().enumerate() {
+        out |= (((data & mask).count_ones() & 1) as u8) << i;
     }
     out
 }
@@ -79,25 +82,16 @@ fn hamming_parities(cw: u128) -> u8 {
 /// Encode a data word into its 8-bit parity byte: bits 0–6 the Hamming
 /// parities, bit 7 the overall parity of data+parities.
 pub fn encode(data: u64) -> u8 {
-    let cw = spread(data);
-    let parities = hamming_parities(cw);
+    let parities = hamming7(data);
     let overall = (data.count_ones() + parities.count_ones()) & 1;
     parities | ((overall as u8) << 7)
 }
 
 /// Decode a (possibly corrupted) data word against its stored parity byte.
 pub fn decode(data: u64, parity: u8) -> DecodeResult {
-    let cw = spread(data);
-    let computed = hamming_parities(cw);
-    let stored_hamming = parity & 0x7F;
-    // Syndrome: XOR of check mismatches, interpreted as an error position.
-    let syndrome_bits = computed ^ stored_hamming;
-    let mut syndrome = 0u32;
-    for (i, &p) in PARITY_POSITIONS.iter().enumerate() {
-        if (syndrome_bits >> i) & 1 == 1 {
-            syndrome |= p;
-        }
-    }
+    // Syndrome bit i stands for position 2^i, so the syndrome is itself
+    // the codeword position of a single error.
+    let syndrome = hamming7(data) ^ (parity & 0x7F);
     // Overall parity over data + stored parity byte (all 8 bits: the
     // overall bit protects itself by inclusion).
     let overall_ok = (data.count_ones() + parity.count_ones()) & 1 == 0;
@@ -108,20 +102,14 @@ pub fn decode(data: u64, parity: u8) -> DecodeResult {
             // The overall parity bit itself flipped; data is intact.
             DecodeResult::Corrected { data, data_bit: false }
         }
-        (s, false) => {
-            if s > 71 {
-                // Syndrome outside the codeword: multi-bit corruption that
-                // aliased; report as uncorrectable.
-                return DecodeResult::DoubleError(data);
-            }
-            if is_parity_pos(s) {
-                // A Hamming parity bit flipped; data is intact.
-                DecodeResult::Corrected { data, data_bit: false }
-            } else {
-                let repaired = gather(cw ^ (1u128 << s));
-                DecodeResult::Corrected { data: repaired, data_bit: true }
-            }
-        }
+        (s, false) => match POS_TO_BIT.get(s as usize) {
+            // Syndrome outside the codeword: multi-bit corruption that
+            // aliased; report as uncorrectable.
+            None => DecodeResult::DoubleError(data),
+            // A Hamming parity bit flipped; data is intact.
+            Some(&NOT_DATA) => DecodeResult::Corrected { data, data_bit: false },
+            Some(&bit) => DecodeResult::Corrected { data: data ^ (1u64 << bit), data_bit: true },
+        },
         (_, true) => DecodeResult::DoubleError(data),
     }
 }
@@ -129,6 +117,166 @@ pub fn decode(data: u64, parity: u8) -> DecodeResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The original bit-serial codec, frozen as the reference the
+    /// word-parallel one must match exactly.
+    mod reference {
+        use super::super::DecodeResult;
+
+        const PARITY_POSITIONS: [u32; 7] = [1, 2, 4, 8, 16, 32, 64];
+
+        fn is_parity_pos(pos: u32) -> bool {
+            pos.is_power_of_two()
+        }
+
+        fn spread(data: u64) -> u128 {
+            let mut cw = 0u128;
+            let mut bit = 0u32;
+            for pos in 1u32..=71 {
+                if is_parity_pos(pos) {
+                    continue;
+                }
+                if (data >> bit) & 1 == 1 {
+                    cw |= 1u128 << pos;
+                }
+                bit += 1;
+            }
+            cw
+        }
+
+        fn gather(cw: u128) -> u64 {
+            let mut data = 0u64;
+            let mut bit = 0u32;
+            for pos in 1u32..=71 {
+                if is_parity_pos(pos) {
+                    continue;
+                }
+                if (cw >> pos) & 1 == 1 {
+                    data |= 1u64 << bit;
+                }
+                bit += 1;
+            }
+            data
+        }
+
+        fn hamming_parities(cw: u128) -> u8 {
+            let mut out = 0u8;
+            for (i, &p) in PARITY_POSITIONS.iter().enumerate() {
+                let mut acc = 0u32;
+                for pos in 1u32..=71 {
+                    if !is_parity_pos(pos) && pos & p != 0 && (cw >> pos) & 1 == 1 {
+                        acc ^= 1;
+                    }
+                }
+                out |= (acc as u8) << i;
+            }
+            out
+        }
+
+        pub fn encode(data: u64) -> u8 {
+            let cw = spread(data);
+            let parities = hamming_parities(cw);
+            let overall = (data.count_ones() + parities.count_ones()) & 1;
+            parities | ((overall as u8) << 7)
+        }
+
+        pub fn decode(data: u64, parity: u8) -> DecodeResult {
+            let cw = spread(data);
+            let computed = hamming_parities(cw);
+            let stored_hamming = parity & 0x7F;
+            let syndrome_bits = computed ^ stored_hamming;
+            let mut syndrome = 0u32;
+            for (i, &p) in PARITY_POSITIONS.iter().enumerate() {
+                if (syndrome_bits >> i) & 1 == 1 {
+                    syndrome |= p;
+                }
+            }
+            let overall_ok = (data.count_ones() + parity.count_ones()) & 1 == 0;
+            match (syndrome, overall_ok) {
+                (0, true) => DecodeResult::Clean(data),
+                (0, false) => DecodeResult::Corrected { data, data_bit: false },
+                (s, false) => {
+                    if s > 71 {
+                        return DecodeResult::DoubleError(data);
+                    }
+                    if is_parity_pos(s) {
+                        DecodeResult::Corrected { data, data_bit: false }
+                    } else {
+                        let repaired = gather(cw ^ (1u128 << s));
+                        DecodeResult::Corrected { data: repaired, data_bit: true }
+                    }
+                }
+                (_, true) => DecodeResult::DoubleError(data),
+            }
+        }
+    }
+
+    /// SplitMix64: a seeded word stream for the equivalence sweeps.
+    fn words(seed: u64, n: usize) -> impl Iterator<Item = u64> {
+        let mut state = seed;
+        (0..n).map(move |_| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        })
+    }
+
+    /// 0, all ones, every single-bit word, and `random` seeded words.
+    fn sample_words(random: usize) -> Vec<u64> {
+        let mut out = vec![0, u64::MAX];
+        out.extend((0..64).map(|b| 1u64 << b));
+        out.extend(words(0x5EF1_ECC0, random));
+        out
+    }
+
+    #[test]
+    fn encode_matches_bit_serial_reference() {
+        for data in sample_words(100_000) {
+            assert_eq!(encode(data), reference::encode(data), "{data:#x}");
+        }
+    }
+
+    #[test]
+    fn decode_matches_reference_under_every_parity_byte() {
+        for data in sample_words(200) {
+            for parity in 0..=u8::MAX {
+                assert_eq!(
+                    decode(data, parity),
+                    reference::decode(data, parity),
+                    "data {data:#x} parity {parity:#04x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn decode_matches_reference_under_every_single_and_double_flip() {
+        // Codeword bits 0..64 are the data word, 64..72 the parity byte.
+        let flip = |(data, parity): (u64, u8), bit: u32| {
+            if bit < 64 {
+                (data ^ (1u64 << bit), parity)
+            } else {
+                (data, parity ^ (1u8 << (bit - 64)))
+            }
+        };
+        for data in sample_words(16) {
+            let clean = (data, encode(data));
+            for a in 0..72 {
+                let one = flip(clean, a);
+                assert_eq!(decode(one.0, one.1), reference::decode(one.0, one.1), "a={a}");
+                for b in (a + 1)..72 {
+                    let two = flip(one, b);
+                    assert_eq!(
+                        decode(two.0, two.1),
+                        reference::decode(two.0, two.1),
+                        "data {data:#x} a={a} b={b}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn clean_roundtrip() {

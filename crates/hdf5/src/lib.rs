@@ -49,7 +49,34 @@ pub use path::{join_path, split_path, validate_path};
 pub use sidecar::EccSidecar;
 
 use std::fs;
+use std::io::Write;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Write `bytes` to `path` so that a concurrent reader sees either the old
+/// file or the complete new one, never a torn prefix: the bytes go to a
+/// uniquely named temporary file in the same directory, which is then
+/// renamed over the target. On failure the temporary file is removed.
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<()> {
+    static COUNTER: AtomicU64 = AtomicU64::new(0);
+    let io_err = |e: std::io::Error| Error::Io(path.display().to_string(), e.to_string());
+    let name = path.file_name().ok_or_else(|| io_err(std::io::ErrorKind::InvalidInput.into()))?;
+    let mut tmp_name = std::ffi::OsString::from(".");
+    tmp_name.push(name);
+    tmp_name.push(format!(
+        ".{}.{}.tmp",
+        std::process::id(),
+        COUNTER.fetch_add(1, Ordering::Relaxed)
+    ));
+    let tmp = path.with_file_name(tmp_name);
+    let written = fs::File::create_new(&tmp)
+        .and_then(|mut f| f.write_all(bytes))
+        .and_then(|()| fs::rename(&tmp, path));
+    written.map_err(|e| {
+        let _ = fs::remove_file(&tmp);
+        io_err(e)
+    })
+}
 
 /// An in-memory hierarchical checkpoint file.
 ///
@@ -239,16 +266,14 @@ impl H5File {
         }
     }
 
-    /// Write to a file (v1 format).
+    /// Write to a file (v1 format), atomically (temporary file + rename).
     pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        fs::write(path.as_ref(), self.to_bytes())
-            .map_err(|e| Error::Io(path.as_ref().display().to_string(), e.to_string()))
+        write_atomic(path.as_ref(), &self.to_bytes())
     }
 
-    /// Write to a file in the sectioned v2 format.
+    /// Write to a file in the sectioned v2 format, atomically.
     pub fn save_v2(&self, path: impl AsRef<Path>) -> Result<()> {
-        fs::write(path.as_ref(), self.to_bytes_v2())
-            .map_err(|e| Error::Io(path.as_ref().display().to_string(), e.to_string()))
+        write_atomic(path.as_ref(), &self.to_bytes_v2())
     }
 
     /// Read from a file (v1 or v2, dispatched by the version field).
@@ -367,5 +392,66 @@ mod tests {
         f.save_v2(&p).unwrap();
         let g = H5File::load(&p).unwrap();
         assert_eq!(f, g);
+    }
+
+    #[test]
+    fn concurrent_saves_are_never_torn() {
+        // Writer threads race v1/v2 checkpoint saves and sidecar saves onto
+        // shared paths while a reader polls them: every read must be one
+        // complete written image, and no temporary file may survive.
+        let dir = crate::testutil::TestDir::new("hdf5_atomic");
+        let ckpt = dir.file("shared.sefi5");
+        let ecc = EccSidecar::sidecar_path(&ckpt);
+        let files: Vec<H5File> = (0..3)
+            .map(|k| {
+                let mut f = H5File::new();
+                let w: Vec<f32> = (0..40_000).map(|i| (i * (k + 1)) as f32).collect();
+                f.create_dataset("w", Dataset::from_f32(&w, &[40_000], Dtype::F32).unwrap())
+                    .unwrap();
+                f
+            })
+            .collect();
+        let ckpt_images: Vec<Vec<u8>> =
+            files.iter().flat_map(|f| [f.to_bytes(), f.to_bytes_v2()]).collect();
+        let sidecars: Vec<EccSidecar> =
+            files.iter().map(|f| EccSidecar::protect(&f.to_bytes_v2()).unwrap()).collect();
+        let ecc_images: Vec<Vec<u8>> = sidecars.iter().map(|s| s.to_bytes()).collect();
+        files[0].save(&ckpt).unwrap();
+        sidecars[0].save(&ecc).unwrap();
+
+        let mut reads = 0usize;
+        std::thread::scope(|s| {
+            let writers: Vec<_> = files
+                .iter()
+                .zip(&sidecars)
+                .map(|(f, sc)| {
+                    let (ckpt, ecc) = (&ckpt, &ecc);
+                    s.spawn(move || {
+                        for round in 0..30 {
+                            if round % 2 == 0 {
+                                f.save_v2(ckpt).unwrap();
+                            } else {
+                                f.save(ckpt).unwrap();
+                            }
+                            sc.save(ecc).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            while writers.iter().any(|w| !w.is_finished()) {
+                let bytes = fs::read(&ckpt).unwrap();
+                assert!(ckpt_images.contains(&bytes), "torn checkpoint: {} bytes", bytes.len());
+                let bytes = fs::read(&ecc).unwrap();
+                assert!(ecc_images.contains(&bytes), "torn sidecar: {} bytes", bytes.len());
+                reads += 1;
+            }
+        });
+        assert!(reads > 0);
+        let mut left: Vec<String> = fs::read_dir(dir.path())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        left.sort();
+        assert_eq!(left, ["shared.sefi5", "shared.sefi5.ecc"]);
     }
 }

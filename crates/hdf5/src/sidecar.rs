@@ -221,10 +221,9 @@ impl EccSidecar {
         Ok(EccSidecar { index_crc, sections })
     }
 
-    /// Write to a file.
+    /// Write to a file, atomically (temporary file + rename).
     pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        std::fs::write(path.as_ref(), self.to_bytes())
-            .map_err(|e| Error::Io(path.as_ref().display().to_string(), e.to_string()))
+        crate::write_atomic(path.as_ref(), &self.to_bytes())
     }
 
     /// Read from a file.
@@ -485,5 +484,31 @@ mod tests {
         let n = bytes.len();
         bytes.truncate(n - 1);
         assert!(EccSidecar::protect(&bytes).is_err());
+    }
+
+    /// A fixed multi-dtype fixture with ragged trailing words.
+    fn pinned_fixture() -> H5File {
+        let mut f = H5File::new();
+        let w: Vec<f32> = (0..4099).map(|i| ((i * 7919 % 1000) as f32) * 0.013 - 6.5).collect();
+        f.create_dataset("model/dense/W", Dataset::from_f32(&w, &[4099], Dtype::F32).unwrap())
+            .unwrap();
+        let b: Vec<f32> = (0..777).map(|i| (i as f32) * -0.125 + 7.5).collect();
+        f.create_dataset("model/dense/b", Dataset::from_f32(&b, &[777], Dtype::F64).unwrap())
+            .unwrap();
+        let h: Vec<f32> = (0..301).map(|i| ((i * 31 % 97) as f32) / 13.0).collect();
+        f.create_dataset("model/head/W", Dataset::from_f32(&h, &[301], Dtype::F16).unwrap())
+            .unwrap();
+        f.create_dataset("meta/epoch", Dataset::scalar_i64(30)).unwrap();
+        f
+    }
+
+    #[test]
+    fn sidecar_digest_is_pinned() {
+        // Digests recorded with the original bit-serial Hamming codec and
+        // bytewise CRC-32: any codec drift changes a byte here.
+        let bytes = pinned_fixture().to_bytes_v2();
+        assert_eq!((bytes.len(), crate::crc::crc32(&bytes)), (23476, 0xB461_DA15));
+        let ser = EccSidecar::protect(&bytes).unwrap().to_bytes();
+        assert_eq!((ser.len(), crate::crc::crc32(&ser)), (2960, 0x850C_09E1));
     }
 }
