@@ -28,6 +28,14 @@ echo "== cargo test (SEFI_KERNELS=naive) =="
 # determinism bug, not flakiness.
 SEFI_KERNELS=naive cargo test --workspace -q
 
+echo "== cargo test (SEFI_KERNELS=tiled) =="
+# ...and the kernel crates once more under the tiled generation: the same
+# blocked GEMM as simd, but on the scalar twins of every vector kernel.
+# A scalar twin that drifts from its vector kernel passes under both runs
+# above and fails only here (e.g. the ResNet50 digest in
+# batchnorm_reference.rs).
+SEFI_KERNELS=tiled cargo test -q -p sefi-tensor -p sefi-nn
+
 echo "== kernel-mode campaign invariance =="
 # The same smoke campaign under the simd and naive kernel generations
 # must emit byte-identical tables — kernels are a speedup, never a

@@ -309,6 +309,43 @@ fn run_benches(file: &mut BenchFile, label: Label, budget: &Budget) {
         println!("  conv_fwd_bwd         {ns:>10.1} ns/iter  {:>7.2} GFLOP/s", flops / ns);
     }
 
+    // ResNet50's stage-1 bottleneck convolutions at the trial shape
+    // (default budget: batch 8, 16x16 maps, 4 bottleneck channels): the
+    // pointwise expansion 4 -> 16 and the 3x3 4 -> 4.
+    for (name, o, k) in [("conv1x1_fwd_bwd_res2", 16, 1), ("conv3x3_fwd_bwd_res2", 4, 3)] {
+        let x = fill(&[8, 4, 16, 16]);
+        let w = fill(&[o, 4, k, k]);
+        let bias = fill(&[o]);
+        let spec = ConvSpec { stride: 1, pad: k / 2 };
+        let out = conv2d(&x, &w, &bias, spec);
+        let dout = fill(out.shape());
+        let flops = 3.0 * 2.0 * (8 * 16 * 16) as f64 * (4 * k * k) as f64 * o as f64;
+        let ns = time_ns(
+            budget.conv_time,
+            3,
+            100_000,
+            || (),
+            |()| {
+                let y = conv2d(
+                    std::hint::black_box(&x),
+                    std::hint::black_box(&w),
+                    std::hint::black_box(&bias),
+                    spec,
+                );
+                std::hint::black_box(y);
+                let g = conv2d_backward(
+                    std::hint::black_box(&x),
+                    std::hint::black_box(&w),
+                    std::hint::black_box(&dout),
+                    spec,
+                );
+                std::hint::black_box(g);
+            },
+        );
+        file.record(name, flops, ns, label);
+        println!("  {name:<20} {ns:>10.1} ns/iter  {:>7.2} GFLOP/s", flops / ns);
+    }
+
     // BatchNorm forward(train) + backward at ResNet50's stage-1 shape
     // (default budget: 4-channel bottleneck layers on 16x16 maps, batch
     // 32). Wall-clock row: flops = 0. The forward consumes its input, so

@@ -47,16 +47,14 @@ impl Layer for Residual {
             m.shape(),
             s.shape()
         );
-        m.add_assign(&s);
-        // Final ReLU.
-        self.relu_mask.clear();
-        self.relu_mask.reserve(m.len());
-        for v in m.data_mut() {
-            let pass = *v > 0.0;
-            self.relu_mask.push(pass);
-            if !pass {
-                *v = 0.0;
-            }
+        // The join add and the final ReLU in one pass over a pre-sized
+        // mask: each element is still `main + shortcut`, then zeroed unless
+        // strictly positive.
+        self.relu_mask.resize(m.len(), false);
+        for ((v, &sv), pass) in m.data_mut().iter_mut().zip(s.data()).zip(&mut self.relu_mask) {
+            let y = *v + sv;
+            *pass = y > 0.0;
+            *v = if *pass { y } else { 0.0 };
         }
         m
     }

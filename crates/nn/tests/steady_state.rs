@@ -6,7 +6,8 @@
 //!
 //! BatchNorm's reused buffers (its backward cache) are reported through
 //! `Layer::workspace_bytes` and must stay flat the same way, also inside a
-//! `Residual` block, which sums its children.
+//! `Residual` block, which sums its children. A pointwise-only stack must
+//! stay flat too, and retain less than one unfolded column buffer.
 //!
 //! Kept in its own integration-test binary, with a single test function:
 //! the counter is process-global, and tests running concurrently would
@@ -97,4 +98,25 @@ fn training_steps_allocate_no_workspace_after_warmup() {
         Box::new(Dense::new("fc", 8 * 8 * 8, 10, &mut rng)),
     ]);
     assert_steady(&mut net, &input(&[4, 3, 16, 16]), &labels);
+
+    // A pointwise-only stack (1×1, stride 1, no padding), the shape of a
+    // bottleneck's outer convolutions. These run on the NCHW tensors
+    // without unfolding, so the whole network — BatchNorm's cache included
+    // — retains less than the single `n·c·h·w` column buffer the first conv
+    // alone would need if it unfolded its input.
+    let mut rng = DetRng::new(9);
+    let (n, c, h, w) = (4, 16, 8, 8);
+    let mut net = Network::new(vec![
+        Box::new(Conv2d::new("reduce", c, 4, 1, 1, 0, &mut rng)),
+        Box::new(BatchNorm2d::new("bn", 4)),
+        Box::new(Conv2d::new("expand", 4, c, 1, 1, 0, &mut rng)),
+        Box::new(Flatten::new("flat")),
+        Box::new(Dense::new("fc", c * h * w, 10, &mut rng)),
+    ]);
+    let retained = assert_steady(&mut net, &input(&[n, c, h, w]), &labels);
+    let cols_bytes = n * c * h * w * std::mem::size_of::<f32>();
+    assert!(
+        retained < cols_bytes,
+        "pointwise stack retains {retained} B, not below one {cols_bytes} B column buffer"
+    );
 }

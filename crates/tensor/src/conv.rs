@@ -2,7 +2,10 @@
 //!
 //! Convolution is im2col + GEMM: unfold every receptive field into a row,
 //! multiply by the flattened kernel matrix, fold the result back. Backward
-//! reuses the same machinery (col2im scatters gradient patches).
+//! reuses the same machinery (col2im scatters gradient patches). A
+//! pointwise convolution (1×1, stride 1, no padding) has the input itself
+//! as its patch matrix, so the blocked modes run its products straight on
+//! the NCHW tensors.
 //!
 //! Two entry styles exist for convolution:
 //!
@@ -25,7 +28,9 @@ use crate::dispatch::{
     PAR_POOL_MIN_ELEMS,
 };
 use crate::divmod::FastDivmod;
-use crate::kernel::gemm_tiled;
+use crate::kernel::{
+    batch_is_narrow, gemm_acc_tb_segs, gemm_batched, gemm_side_by_side, gemm_tiled, Batch, KSegs,
+};
 use crate::simd;
 use crate::workspace::{ensure, ConvKey, ConvWorkspace};
 use crate::{matmul, matmul_a_bt, matmul_at_b, Tensor};
@@ -150,6 +155,21 @@ fn im2col_t_lane(
         Some(t) => (t / stride + 1).min(ow),
         None => 0,
     };
+    if stride == 1 && ow == w && kx == pad {
+        // A full-width tap (every 1×1 tap, the centre column of a "same"
+        // 3×3): rows oy_lo..oy_hi of each image are one contiguous span on
+        // both sides, and only the rows padding leaves uncovered get zeros.
+        let (lo, hi) = (oy_lo * ow, oy_hi.max(oy_lo) * ow);
+        for (ni, dst) in lane.chunks_exact_mut(ohw).enumerate() {
+            dst[..lo].fill(0.0);
+            dst[hi..].fill(0.0);
+            if lo < hi {
+                let si = ni * c * h * w + (ci * h + oy_lo + ky - pad) * w;
+                dst[lo..hi].copy_from_slice(&src[si..si + hi - lo]);
+            }
+        }
+        return;
+    }
     lane.fill(0.0);
     if ox_lo >= ox_hi {
         return;
@@ -201,78 +221,98 @@ fn im2col_t_into(
     }
 }
 
-/// Tap-inverted col2im for stride-1 convolutions, consuming tap-major
-/// gradient columns `[c*kh*kw, n*oh*ow]`. With stride 1 each input pixel
-/// maps a kernel tap to exactly one patch, monotonically: descending
-/// `(ky, kx)` is ascending `(oy, ox)`. Sweeping taps in descending order
-/// therefore replays every pixel's accumulation chain in exactly the
-/// canonical `(oy, ox)` patch order of [`col2im`] — same sums, same bits —
-/// while every inner loop runs over contiguous memory on both sides.
+/// Tap-inverted col2im for one image, consuming that image's gradient
+/// columns: tap `col`'s run is `src[col*col_step..][..oh*ow]`. Each input
+/// pixel receives at most one patch per kernel tap, and the map is
+/// monotone: patch row `oy = (iy + pad - ky) / stride` falls as `ky` rises,
+/// and within a patch row `ox` falls as `kx` rises. Sweeping taps in
+/// descending `(ky, kx)` order therefore replays every pixel's accumulation
+/// chain in exactly the canonical `(oy, ox)` patch order of [`col2im`] —
+/// same sums, same bits — for any stride, while every source run is
+/// contiguous.
 fn col2im_t_image(
     dst: &mut [f32],
-    src_t: &[f32],
-    ni: usize,
-    (n, c, h, w): (usize, usize, usize, usize),
+    src: &[f32],
+    col_step: usize,
+    (c, h, w): (usize, usize, usize),
     kh: usize,
     kw: usize,
     spec: ConvSpec,
 ) {
-    debug_assert_eq!(spec.stride, 1);
     let oh = spec.out_extent(h, kh);
     let ow = spec.out_extent(w, kw);
     let ohw = oh * ow;
-    let rows = n * ohw;
-    let pad = spec.pad;
+    let (stride, pad) = (spec.stride, spec.pad);
     for ci in 0..c {
         for ky in (0..kh).rev() {
-            let oy_lo = pad.saturating_sub(ky).min(oh);
+            let oy_lo = pad.saturating_sub(ky).div_ceil(stride).min(oh);
             let oy_hi = match (h + pad).checked_sub(ky + 1) {
-                Some(t) => (t + 1).min(oh),
+                Some(t) => (t / stride + 1).min(oh),
                 None => 0,
             };
             for kx in (0..kw).rev() {
-                let ox_lo = pad.saturating_sub(kx).min(ow);
+                let col = (ci * kh + ky) * kw + kx;
+                let lane = &src[col * col_step..][..ohw];
+                if stride == 1 && ow == w && kx == pad {
+                    // Full-width tap: rows oy_lo..oy_hi are one contiguous
+                    // span on both sides, still one add per pixel.
+                    if oy_lo < oy_hi {
+                        let len = (oy_hi - oy_lo) * w;
+                        let di = (ci * h + oy_lo + ky - pad) * w;
+                        simd::add_assign(&mut dst[di..di + len], &lane[oy_lo * ow..][..len]);
+                    }
+                    continue;
+                }
+                let ox_lo = pad.saturating_sub(kx).div_ceil(stride).min(ow);
                 let ox_hi = match (w + pad).checked_sub(kx + 1) {
-                    Some(t) => (t + 1).min(ow),
+                    Some(t) => (t / stride + 1).min(ow),
                     None => 0,
                 };
                 if ox_lo >= ox_hi {
                     continue;
                 }
                 let run = ox_hi - ox_lo;
-                let col = (ci * kh + ky) * kw + kx;
-                let lane = &src_t[col * rows..(col + 1) * rows];
                 for oy in oy_lo..oy_hi {
-                    let di = (ci * h + oy + ky - pad) * w + ox_lo + kx - pad;
-                    let si = ni * ohw + oy * ow + ox_lo;
-                    // Elementwise adds vectorize without touching any
-                    // element's chain order (lane-stable: one tap per add).
-                    simd::add_assign(&mut dst[di..di + run], &lane[si..si + run]);
+                    let di = (ci * h + oy * stride + ky - pad) * w + ox_lo * stride + kx - pad;
+                    let src_run = &lane[oy * ow + ox_lo..][..run];
+                    if stride == 1 {
+                        // Elementwise adds vectorize without touching any
+                        // element's chain order (one tap per add).
+                        simd::add_assign(&mut dst[di..di + run], src_run);
+                    } else {
+                        let dst_run = dst[di..].iter_mut().step_by(stride);
+                        for (d, &v) in dst_run.zip(src_run) {
+                            *d += v;
+                        }
+                    }
                 }
             }
         }
     }
 }
 
-/// Batch wrapper over [`col2im_t_image`]: images are disjoint scatter
-/// targets, so they parallelize without reordering any pixel's chain.
+/// Batch wrapper over [`col2im_t_image`]. Image `ni`'s tap `col` lane is
+/// `src[ni*img_step + col*col_step..][..oh*ow]` — image-major gradient
+/// columns `[n, c*kh*kw, oh*ow]` or tap-major ones `[c*kh*kw, n*oh*ow]`.
+/// Images are disjoint scatter targets, so they parallelize without
+/// reordering any pixel's chain.
+#[allow(clippy::too_many_arguments)]
 fn col2im_t_into(
     dst: &mut [f32],
-    src_t: &[f32],
+    src: &[f32],
+    (img_step, col_step): (usize, usize),
     (n, c, h, w): (usize, usize, usize, usize),
     kh: usize,
     kw: usize,
     spec: ConvSpec,
 ) {
-    let plane = c * h * w;
+    let job = |(ni, img): (usize, &mut [f32])| {
+        col2im_t_image(img, &src[ni * img_step..], col_step, (c, h, w), kh, kw, spec);
+    };
     if par_enabled() && dst.len() >= PAR_COL2IM_MIN_ELEMS && n > 1 {
-        dst.par_chunks_mut(plane).enumerate().for_each(|(ni, img)| {
-            col2im_t_image(img, src_t, ni, (n, c, h, w), kh, kw, spec);
-        });
+        dst.par_chunks_mut(c * h * w).enumerate().for_each(job);
     } else {
-        for (ni, img) in dst.chunks_mut(plane).enumerate() {
-            col2im_t_image(img, src_t, ni, (n, c, h, w), kh, kw, spec);
-        }
+        dst.chunks_mut(c * h * w).enumerate().for_each(job);
     }
 }
 
@@ -472,6 +512,27 @@ pub fn conv2d_ws(
         return permute_bias(prod.data(), bias.data(), n, o, oh, ow);
     }
 
+    let isa = mode_isa(mode);
+    let ohw = oh * ow;
+    if is_pointwise(kh, kw, spec) {
+        // A pointwise conv's patch matrix is the input itself: each image's
+        // `[c, h*w]` plane block is B, and its `[o, h*w]` output block is
+        // C, so one GEMM per image reads and writes NCHW directly. Per
+        // element this is the same ascending-channel chain as the unfolded
+        // product (starting from the zeroed output), and the bias add below
+        // is the same single `+ b` — same bits, no columns, no permute.
+        ws.invalidate();
+        let mut out = vec![0.0f32; n * o * ohw];
+        let batch = Batch { count: n, b_step: c * ohw, c_step: o * ohw };
+        gemm_batched(&mut out, o, ohw, c, weight.data(), false, x.data(), batch, isa);
+        for (plane, &bv) in out.chunks_exact_mut(ohw).zip(bias.data().iter().cycle()) {
+            for d in plane {
+                *d += bv;
+            }
+        }
+        return Tensor::from_vec(out, &[n, o, oh, ow]);
+    }
+
     ensure(&mut ws.cols, rows * row_len);
     im2col_t_into(&mut ws.cols[..rows * row_len], x.data(), (n, c, h, w), kh, kw, spec);
     ws.key = Some(ConvKey { x_shape: [n, c, h, w], kh, kw, spec });
@@ -495,10 +556,9 @@ pub fn conv2d_ws(
         false,
         &ws.cols[..rows * row_len],
         false,
-        mode_isa(mode),
+        isa,
     );
     let p = &ws.prod[..o * rows];
-    let ohw = oh * ow;
     let mut out = vec![0.0f32; n * o * ohw];
     for ni in 0..n {
         for oi in 0..o {
@@ -511,6 +571,12 @@ pub fn conv2d_ws(
         }
     }
     Tensor::from_vec(out, &[n, o, oh, ow])
+}
+
+/// A 1×1, stride-1, unpadded convolution: its patch matrix is the input
+/// itself, so the blocked modes run it without unfolding.
+fn is_pointwise(kh: usize, kw: usize, spec: ConvSpec) -> bool {
+    kh == 1 && kw == 1 && spec.stride == 1 && spec.pad == 0
 }
 
 /// Permute `[n*oh*ow, o]` → `[n, o, oh, ow]` and add the per-channel bias
@@ -589,101 +655,80 @@ pub fn conv2d_backward_ws_ex(
     }
     let isa = mode_isa(mode);
 
-    // Gather dout [n,o,oh,ow] into both flat layouts: dflat [rows, o]
-    // (patch-major, feeds the dWᵀ product) and dflatᵀ [o, rows]
-    // (channel-major — contiguous plane copies — feeds db and the dX
-    // product). Together they are two cheap passes over `rows*o` floats and
-    // let every GEMM below run transpose-free.
     let ohw = oh * ow;
-    ensure(&mut ws.dflat, rows * o);
-    ensure(&mut ws.dflat_t, o * rows);
-    {
-        let d = dout.data();
-        let dflat = &mut ws.dflat[..rows * o];
-        let dflat_t = &mut ws.dflat_t[..o * rows];
-        for ni in 0..n {
-            for oi in 0..o {
-                let plane = &d[(ni * o + oi) * ohw..(ni * o + oi + 1) * ohw];
-                dflat_t[oi * rows + ni * ohw..oi * rows + (ni + 1) * ohw].copy_from_slice(plane);
-                let mut di = (ni * ohw) * o + oi;
-                for &v in plane {
-                    dflat[di] = v;
-                    di += o;
-                }
-            }
-        }
-    }
+    let d = dout.data();
+    // dout's per-channel planes, image by image: patch row `ni*ohw + s` of
+    // channel `oi` is `d[(ni*o + oi)*ohw + s]`.
+    let planes = |oi: usize| (0..n).map(move |ni| &d[(ni * o + oi) * ohw..(ni * o + oi + 1) * ohw]);
 
-    // Reuse forward's columns when they cover this exact geometry.
+    // db = per-channel sums over ascending patch rows. This is the one
+    // genuine reduction in the conv stack, so it runs through the frozen
+    // eight-lane tree of [`simd::sum_lanes8`], fed plane by plane — the
+    // naive backward replays the *same* tree over the same sequence (via
+    // `sum_lanes8_ref`), keeping the generations bit-identical.
+    let db: Vec<f32> = (0..o).map(|oi| simd::sum_lanes8(planes(oi))).collect();
+    let db = Tensor::from_vec(db, &[o]);
+
+    // dWᵀ [c*kh*kw, o]: each element is the naive `dflatᵀ · cols` chain
+    // over ascending patch rows (the two factors per term merely commuted,
+    // which is exact), then a tiny transpose into dW. The patch rows are
+    // the images' pixels in order, so the chains walk the operands image
+    // by image as one long k, reading dout in place.
+    let pointwise = is_pointwise(kh, kw, spec);
     let key = ConvKey { x_shape: [n, c, h, w], kh, kw, spec };
-    if ws.key != Some(key) {
+    if !pointwise && ws.key != Some(key) {
         ensure(&mut ws.cols, rows * row_len);
         im2col_t_into(&mut ws.cols[..rows * row_len], x.data(), (n, c, h, w), kh, kw, spec);
         ws.key = Some(key);
     }
-    let cols_t = &ws.cols[..rows * row_len];
-    let dflat = &ws.dflat[..rows * o];
-    let dflat_t = &ws.dflat_t[..o * rows];
-
-    // dWᵀ = colsᵀ · dflat -> [c*kh*kw, o], both operands contiguous, then a
-    // tiny [row_len, o] transpose into dW. Each dW element is the same
-    // ascending patch-row chain as the naive `dflatᵀ · cols` (the two
-    // factors per term are merely commuted, which is exact).
+    // The patches of image `ni` are x's `ni`-th plane block (pointwise) or
+    // the `ni`-th column block of the tap-major columns.
+    let (a, lda, a_step) =
+        if pointwise { (x.data(), ohw, c * ohw) } else { (&ws.cols[..rows * row_len], rows, ohw) };
+    let segs = KSegs { count: n, len: ohw, lda, ldb: ohw, a_step, b_step: o * ohw };
     ensure(&mut ws.prod, row_len * o);
-    gemm_tiled(&mut ws.prod[..row_len * o], row_len, o, rows, cols_t, false, dflat, false, isa);
+    let dwt = &mut ws.prod[..row_len * o];
+    dwt.fill(0.0);
+    gemm_acc_tb_segs(isa, dwt, row_len, o, a, d, segs);
     let mut dw = vec![0.0f32; o * row_len];
-    for (kk, dwt_row) in ws.prod[..row_len * o].chunks_exact(o).enumerate() {
+    for (kk, dwt_row) in dwt.chunks_exact(o).enumerate() {
         for (oi, &v) in dwt_row.iter().enumerate() {
             dw[oi * row_len + kk] = v;
         }
     }
     let dw = Tensor::from_vec(dw, &[o, c, kh, kw]);
 
-    // db = per-channel sums: contiguous row sums of dflatᵀ. This is the
-    // one genuine reduction in the conv stack, so it runs through the
-    // frozen eight-lane tree of [`simd::sum_lanes8`] — the naive backward
-    // replays the *same* tree over the same ascending patch-row sequence
-    // (via `sum_lanes8_ref`), keeping the generations bit-identical.
-    let mut db = vec![0.0f32; o];
-    for (acc, row) in db.iter_mut().zip(dflat_t.chunks(rows)) {
-        *acc = simd::sum_lanes8(row);
-    }
-    let db = Tensor::from_vec(db, &[o]);
-
-    // dX: for stride 1 compute tap-major gradient columns
-    // (dcolsᵀ = w_flatᵀ · dflatᵀ) and fold them with the tap-inverted
-    // col2im; otherwise patch-major columns and the canonical col2im.
     let mut dx = vec![0.0f32; n * c * h * w];
     if !need_dx {
         return Conv2dGrads { dx: Tensor::from_vec(dx, x.shape()), dw, db };
     }
-    ensure(&mut ws.dcols, rows * row_len);
-    if spec.stride == 1 {
-        gemm_tiled(
-            &mut ws.dcols[..rows * row_len],
-            row_len,
-            rows,
-            o,
-            weight.data(),
-            true,
-            dflat_t,
-            false,
-            isa,
-        );
-        col2im_t_into(&mut dx, &ws.dcols[..rows * row_len], (n, c, h, w), kh, kw, spec);
+    if pointwise {
+        // dX = w_flatᵀ · dout per image, written straight into NCHW. The
+        // unfolded path lands each chain on col2im's zeroed buffer as
+        // `0.0 + v`, which turns a chain that ended in -0.0 into +0.0;
+        // adding +0.0 reproduces exactly that and changes nothing else.
+        let batch = Batch { count: n, b_step: o * ohw, c_step: c * ohw };
+        gemm_batched(&mut dx, c, ohw, o, weight.data(), true, d, batch, isa);
+        for v in &mut dx {
+            *v += 0.0;
+        }
     } else {
-        gemm_tiled(
-            &mut ws.dcols[..rows * row_len],
-            rows,
-            row_len,
-            o,
-            dflat,
-            false,
-            weight.data(),
-            false,
-            isa,
-        );
-        col2im_into(&mut dx, &ws.dcols[..rows * row_len], (n, c, h, w), kh, kw, spec);
+        // Gradient columns w_flatᵀ · dout_img straight from the NCHW
+        // upstream gradient, folded by the tap-inverted col2im: image by
+        // image (`[n, c*kh*kw, oh*ow]`) for wide maps, or tap-major
+        // (`[c*kh*kw, n*oh*ow]`, the images side by side) for narrow ones.
+        ensure(&mut ws.dcols, rows * row_len);
+        let dcols = &mut ws.dcols[..rows * row_len];
+        let wt = weight.data();
+        let steps = if batch_is_narrow(ohw) {
+            gemm_side_by_side(dcols, row_len, ohw, o, wt, true, d, (n, o * ohw), isa);
+            (ohw, rows)
+        } else {
+            let batch = Batch { count: n, b_step: o * ohw, c_step: row_len * ohw };
+            gemm_batched(dcols, row_len, ohw, o, wt, true, d, batch, isa);
+            (row_len * ohw, ohw)
+        };
+        col2im_t_into(&mut dx, dcols, steps, (n, c, h, w), kh, kw, spec);
     }
     let dx = Tensor::from_vec(dx, x.shape());
 

@@ -15,6 +15,7 @@
 //! [`active_isa`], which only reports instruction sets the host
 //! actually supports (`is_x86_feature_detected!`).
 
+use crate::kernel::KSegs;
 use crate::pack::{MR, NR};
 use std::sync::OnceLock;
 
@@ -108,7 +109,7 @@ pub fn active_isa_name() -> &'static str {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{MR, NR};
+    use super::{KSegs, MR, NR};
     use core::arch::x86_64::*;
 
     #[inline(always)]
@@ -430,6 +431,130 @@ mod x86 {
         }
     }
 
+    /// In-register transpose of an 8×8 block: `r[i]` holds row `i`, the
+    /// result's element `q` holds column `q` (pure data movement).
+    #[inline(always)]
+    unsafe fn transpose8(r: [__m256; 8]) -> [__m256; 8] {
+        let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+        let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+        let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+        let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+        let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+        let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+        let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+        let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+        let s0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+        let s1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+        let s2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+        let s3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+        let s4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+        let s5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+        let s6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+        let s7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+        [
+            _mm256_permute2f128_ps::<0x20>(s0, s4),
+            _mm256_permute2f128_ps::<0x20>(s1, s5),
+            _mm256_permute2f128_ps::<0x20>(s2, s6),
+            _mm256_permute2f128_ps::<0x20>(s3, s7),
+            _mm256_permute2f128_ps::<0x31>(s0, s4),
+            _mm256_permute2f128_ps::<0x31>(s1, s5),
+            _mm256_permute2f128_ps::<0x31>(s2, s6),
+            _mm256_permute2f128_ps::<0x31>(s3, s7),
+        ]
+    }
+
+    /// Narrow transposed-B tile, AVX2+FMA: `c[rows, N] += A·Bᵀ` (row
+    /// stride `ldc`) over the k segments `s`. Lanes run along the (up to eight) rows: each 8×8
+    /// block of the k-contiguous A is transposed in registers into eight
+    /// k-step vectors, and each B element `B[j, kk]` is broadcast straight
+    /// from its k-contiguous row. Column `j` owns accumulator `acc[j]` for
+    /// the whole sweep, so every element is one ascending-k fma chain,
+    /// resumed from `c`. Lanes past `rows` compute on zeros and are never
+    /// stored.
+    ///
+    /// # Safety
+    /// `c` addresses `rows <= 8` rows of `N` floats (row stride `ldc`); for
+    /// every segment `g < s.count`, row `i < rows`, column `j < N` and step
+    /// `kk < s.len`, `a + g*s.a_step + i*s.lda + kk` and
+    /// `b + g*s.b_step + j*s.ldb + kk` are readable. Caller must have
+    /// verified `avx2`+`fma`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(crate) unsafe fn narrow_tb_avx2<const N: usize>(
+        c: *mut f32,
+        ldc: usize,
+        rows: usize,
+        a: *const f32,
+        b: *const f32,
+        s: KSegs,
+    ) {
+        debug_assert!((1..=8).contains(&rows));
+        let mut lanes = [[0.0f32; 8]; N];
+        for i in 0..rows {
+            for (j, col) in lanes.iter_mut().enumerate() {
+                col[i] = *c.add(i * ldc + j);
+            }
+        }
+        let mut acc = [_mm256_setzero_ps(); N];
+        for (v, col) in acc.iter_mut().zip(&lanes) {
+            *v = _mm256_loadu_ps(col.as_ptr());
+        }
+        for g in 0..s.count {
+            let ap = a.add(g * s.a_step);
+            let bp = b.add(g * s.b_step);
+            let mut kk = 0;
+            while kk + 8 <= s.len {
+                let mut r = [_mm256_setzero_ps(); 8];
+                for (i, v) in r.iter_mut().enumerate().take(rows) {
+                    *v = _mm256_loadu_ps(ap.add(i * s.lda + kk));
+                }
+                let t = transpose8(r);
+                for (q, tq) in t.iter().enumerate() {
+                    for (j, v) in acc.iter_mut().enumerate() {
+                        let bv = _mm256_set1_ps(*bp.add(j * s.ldb + kk + q));
+                        *v = _mm256_fmadd_ps(*tq, bv, *v);
+                    }
+                }
+                kk += 8;
+            }
+            if kk + 4 <= s.len {
+                // A four-step tail (a 2×2 feature map's whole plane): the
+                // same transpose on half rows, upper outputs unused.
+                let mut r = [_mm256_setzero_ps(); 8];
+                for (i, v) in r.iter_mut().enumerate().take(rows) {
+                    *v = _mm256_zextps128_ps256(_mm_loadu_ps(ap.add(i * s.lda + kk)));
+                }
+                let t = transpose8(r);
+                for (q, tq) in t.iter().take(4).enumerate() {
+                    for (j, v) in acc.iter_mut().enumerate() {
+                        let bv = _mm256_set1_ps(*bp.add(j * s.ldb + kk + q));
+                        *v = _mm256_fmadd_ps(*tq, bv, *v);
+                    }
+                }
+                kk += 4;
+            }
+            while kk < s.len {
+                let mut col = [0.0f32; 8];
+                for (i, v) in col.iter_mut().enumerate().take(rows) {
+                    *v = *ap.add(i * s.lda + kk);
+                }
+                let tq = _mm256_loadu_ps(col.as_ptr());
+                for (j, v) in acc.iter_mut().enumerate() {
+                    let bv = _mm256_set1_ps(*bp.add(j * s.ldb + kk));
+                    *v = _mm256_fmadd_ps(tq, bv, *v);
+                }
+                kk += 1;
+            }
+        }
+        for (v, col) in acc.iter().zip(lanes.iter_mut()) {
+            _mm256_storeu_ps(col.as_mut_ptr(), *v);
+        }
+        for i in 0..rows {
+            for (j, col) in lanes.iter().enumerate() {
+                *c.add(i * ldc + j) = col[i];
+            }
+        }
+    }
+
     /// `dst[j] = fma(s, src[j], dst[j])`, AVX-512.
     ///
     /// # Safety
@@ -551,27 +676,19 @@ mod x86 {
         out
     }
 
-    /// 8-lane k-split sum with the frozen combination tree, AVX2.
-    /// Lane adds are plain `vaddps`, bit-identical to the scalar
-    /// emulation in [`super::sum_lanes8_ref`].
+    /// `lanes[l] += xs[8t + l]` over every 8-element group of `xs`, AVX2
+    /// (plain `vaddps`, lane-wise equal to the scalar loop).
     ///
     /// # Safety
-    /// Caller must have verified `avx2`.
+    /// Caller must have verified `avx2`; `xs.len()` is a multiple of 8.
     #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn sum_lanes8_avx2(xs: &[f32]) -> f32 {
-        let mut acc = _mm256_setzero_ps();
-        let chunks = xs.len() / 8;
-        let p = xs.as_ptr();
-        for t in 0..chunks {
-            acc = _mm256_add_ps(acc, _mm256_loadu_ps(p.add(8 * t)));
+    pub(crate) unsafe fn add_lanes8_avx2(lanes: &mut [f32; 8], xs: &[f32]) {
+        debug_assert_eq!(xs.len() % 8, 0);
+        let mut acc = _mm256_loadu_ps(lanes.as_ptr());
+        for group in xs.chunks_exact(8) {
+            acc = _mm256_add_ps(acc, _mm256_loadu_ps(group.as_ptr()));
         }
-        // Frozen tree: ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)).
-        let lo = _mm256_castps256_ps128(acc);
-        let hi = _mm256_extractf128_ps(acc, 1);
-        let pairs = _mm_hadd_ps(lo, hi); // [l0+l1, l2+l3, l4+l5, l6+l7]
-        let quads = _mm_hadd_ps(pairs, pairs); // [(01)+(23), (45)+(67), ..]
-        let tree = _mm_cvtss_f32(_mm_hadd_ps(quads, quads));
-        xs[8 * chunks..].iter().fold(tree, |s, &x| s + x)
+        _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
     }
 }
 
@@ -655,6 +772,17 @@ mod x86 {
         unreachable!("AVX2 kernel on non-x86_64 host")
     }
 
+    pub(crate) unsafe fn narrow_tb_avx2<const N: usize>(
+        _c: *mut f32,
+        _ldc: usize,
+        _rows: usize,
+        _a: *const f32,
+        _b: *const f32,
+        _s: crate::kernel::KSegs,
+    ) {
+        unreachable!("AVX2 kernel on non-x86_64 host")
+    }
+
     pub(crate) unsafe fn axpy_avx512(_dst: &mut [f32], _s: f32, _src: &[f32]) {
         unreachable!("AVX-512 kernel on non-x86_64 host")
     }
@@ -667,7 +795,7 @@ mod x86 {
         unreachable!("AVX2 kernel on non-x86_64 host")
     }
 
-    pub(crate) unsafe fn sum_lanes8_avx2(_xs: &[f32]) -> f32 {
+    pub(crate) unsafe fn add_lanes8_avx2(_lanes: &mut [f32; 8], _xs: &[f32]) {
         unreachable!("AVX2 kernel on non-x86_64 host")
     }
 
@@ -677,7 +805,8 @@ mod x86 {
 }
 
 pub(crate) use x86::{
-    small_block_avx2, small_block_avx512, tile_avx2, tile_avx2_edge, tile_avx512, tile_avx512_edge,
+    narrow_tb_avx2, small_block_avx2, small_block_avx512, tile_avx2, tile_avx2_edge, tile_avx512,
+    tile_avx512_edge,
 };
 
 // ---------------------------------------------------------------------------
@@ -702,12 +831,15 @@ pub(crate) fn axpy(isa: Isa, dst: &mut [f32], s: f32, src: &[f32]) {
 }
 
 /// `dst[j] += src[j]` with the widest available ISA (elementwise, so
-/// bit-equal to the scalar loop; safe for every kernel mode).
+/// bit-equal to the scalar loop; safe for every kernel mode). Runs shorter
+/// than one vector stay inline: the scatter kernels issue thousands of
+/// them per call (a 2×2 map's rows, a strided patch's taps), where a call
+/// into the vector kernel would cost more than the adds.
 #[inline]
 pub(crate) fn add_assign(dst: &mut [f32], src: &[f32]) {
     match active_isa() {
-        Isa::Avx512 | Isa::Avx2 => unsafe { x86::add_assign_avx2(dst, src) },
-        Isa::Scalar => {
+        Isa::Avx512 | Isa::Avx2 if dst.len() >= 8 => unsafe { x86::add_assign_avx2(dst, src) },
+        _ => {
             for (d, &x) in dst.iter_mut().zip(src) {
                 *d += x;
             }
@@ -715,17 +847,39 @@ pub(crate) fn add_assign(dst: &mut [f32], src: &[f32]) {
     }
 }
 
-/// Sums `xs` with the lane-stable reduction tree: the index stream is
-/// split across 8 lanes (`lane l` accumulates `xs[8t + l]` in order),
-/// lanes combine as `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`, and any
-/// tail folds in sequentially. Vector and scalar paths are
-/// bit-identical by construction.
-#[inline]
-pub(crate) fn sum_lanes8(xs: &[f32]) -> f32 {
-    match active_isa() {
-        Isa::Avx512 | Isa::Avx2 => unsafe { x86::sum_lanes8_avx2(xs) },
-        Isa::Scalar => sum_lanes8_ref(xs.iter().copied()),
+/// Sums the concatenation of `planes` with the lane-stable reduction
+/// tree: the element stream is split across 8 lanes (`lane l` accumulates
+/// element `8t + l` in order), lanes combine as
+/// `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`, and any tail folds in
+/// sequentially. When every plane but the last is a whole number of
+/// 8-element groups, the lane sums are carried from plane to plane in
+/// vector registers, so the stream is never built; otherwise groups
+/// straddle planes and the scalar reference streams them. Vector and
+/// scalar paths are bit-identical by construction.
+pub(crate) fn sum_lanes8<'a>(planes: impl Iterator<Item = &'a [f32]> + Clone) -> f32 {
+    let count = planes.clone().count();
+    if planes.clone().take(count.saturating_sub(1)).any(|p| p.len() % 8 != 0) {
+        return sum_lanes8_ref(planes.flat_map(|p| p.iter().copied()));
     }
+    let mut lanes = [0.0f32; 8];
+    let mut tail: &[f32] = &[];
+    for p in planes {
+        let (groups, rest) = p.split_at(p.len() / 8 * 8);
+        match active_isa() {
+            Isa::Avx512 | Isa::Avx2 => unsafe { x86::add_lanes8_avx2(&mut lanes, groups) },
+            Isa::Scalar => {
+                for group in groups.chunks_exact(8) {
+                    for (l, &g) in lanes.iter_mut().zip(group) {
+                        *l += g;
+                    }
+                }
+            }
+        }
+        tail = rest;
+    }
+    let tree = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
+        + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
+    tail.iter().fold(tree, |s, &x| s + x)
 }
 
 /// Result of a NaN-aware min/max reduction: the extreme finite-or-infinite
@@ -869,9 +1023,23 @@ mod tests {
     fn sum_lanes8_vector_matches_scalar_reference() {
         for n in [0usize, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 1000] {
             let xs = seq(n, 0xbeef);
-            let v = sum_lanes8(&xs);
+            let v = sum_lanes8(std::iter::once(&xs[..]));
             let s = sum_lanes8_ref(xs.iter().copied());
             assert_eq!(v.to_bits(), s.to_bits(), "tree sum diverged at n={n}: {v} vs {s}");
+        }
+    }
+
+    #[test]
+    fn sum_lanes8_over_planes_matches_the_concatenation() {
+        // Planes of 8-multiples carry the lanes across (with a ragged last
+        // plane as the tail); a ragged inner plane takes the scalar stream.
+        for (planes, len, last) in [(8usize, 16usize, 16usize), (5, 64, 13), (8, 4, 4), (3, 12, 7)]
+        {
+            let xs = seq((planes - 1) * len + last, 0x5eed);
+            let split: Vec<&[f32]> = xs.chunks(len).collect();
+            let v = sum_lanes8(split.iter().copied());
+            let s = sum_lanes8_ref(xs.iter().copied());
+            assert_eq!(v.to_bits(), s.to_bits(), "planes={planes} len={len} last={last}");
         }
     }
 

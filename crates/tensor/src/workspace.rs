@@ -8,8 +8,8 @@
 //! * **[`ConvWorkspace`]** — owned by each convolution layer and threaded
 //!   through `conv2d_ws`/`conv2d_backward_ws`, so the backward pass reuses
 //!   the forward pass's im2col columns instead of recomputing them, and all
-//!   intermediate buffers (columns, gradient columns, permuted upstream
-//!   gradient, GEMM product) survive across steps.
+//!   intermediate buffers (columns, gradient columns, GEMM product) survive
+//!   across steps.
 //!
 //! All workspace buffers are [`AVec`]s: 64-byte-aligned so the SIMD
 //! microkernels can use aligned vector loads on packed panels. The kernels
@@ -130,6 +130,27 @@ pub(crate) fn with_gemm_ws<R>(
     })
 }
 
+thread_local! {
+    static STAGE_WS: RefCell<(AVec, AVec)> = const { RefCell::new((AVec::new(), AVec::new())) };
+}
+
+/// Borrow this thread's staging buffers (for operands gathered or laid
+/// side by side ahead of a GEMM, which borrows the pack buffers itself),
+/// grown to the requested lengths.
+pub(crate) fn with_stage_ws<R>(
+    b_need: usize,
+    c_need: usize,
+    f: impl FnOnce(&mut [f32], &mut [f32]) -> R,
+) -> R {
+    STAGE_WS.with(|cell| {
+        let mut ws = cell.borrow_mut();
+        let (b, c) = &mut *ws;
+        b.ensure(b_need);
+        c.ensure(c_need);
+        f(&mut b[..b_need], &mut c[..c_need])
+    })
+}
+
 /// The geometry a [`ConvWorkspace`]'s column buffer was filled for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ConvKey {
@@ -147,15 +168,13 @@ pub struct ConvWorkspace {
     /// im2col columns of the last forward input, stored tap-major
     /// (`[c*kh*kw, n*oh*ow]`) so no GEMM consuming them needs a transpose.
     pub(crate) cols: AVec,
-    /// Gradient columns (backward dX path; tap-major for stride 1,
-    /// patch-major otherwise).
+    /// Gradient columns of the backward dX path, image by image
+    /// (`[n, c*kh*kw, oh*ow]`).
     pub(crate) dcols: AVec,
-    /// Upstream gradient flattened patch-major to `[n*oh*ow, o]`.
-    pub(crate) dflat: AVec,
-    /// Upstream gradient gathered channel-major to `[o, n*oh*ow]`.
-    pub(crate) dflat_t: AVec,
     /// Forward GEMM product `[o, n*oh*ow]` before the NCHW permute; the
-    /// backward pass reuses it for the transposed weight gradient.
+    /// backward pass reuses it for the transposed weight gradient. Pointwise
+    /// convolutions need neither columns nor the forward product: they run
+    /// on the NCHW tensors themselves.
     pub(crate) prod: AVec,
     /// Geometry `cols` currently holds, if any.
     pub(crate) key: Option<ConvKey>,
@@ -175,11 +194,7 @@ impl ConvWorkspace {
 
     /// Bytes currently retained across steps.
     pub fn retained_bytes(&self) -> usize {
-        self.cols.retained_bytes()
-            + self.dcols.retained_bytes()
-            + self.dflat.retained_bytes()
-            + self.dflat_t.retained_bytes()
-            + self.prod.retained_bytes()
+        self.cols.retained_bytes() + self.dcols.retained_bytes() + self.prod.retained_bytes()
     }
 }
 

@@ -159,34 +159,166 @@ proptest! {
         prop_assert_eq!(bits(&r[0]), bits(&r[2]));
     }
 
-    /// Convolution forward and backward, including strided geometry (the
-    /// strided backward takes the canonical col2im path, stride 1 the
-    /// tap-inverted one — every generation must match bit for bit).
+    /// Long-k products with a handful of output columns — the narrow
+    /// transposed-B route (n ≤ 16, k ≥ 64) and its neighbours — under each
+    /// operand layout the public API exposes.
+    #[test]
+    fn gemm_bitwise_identical_on_narrow_long_k(
+        m in 1usize..80,
+        n in 1usize..17,
+        k in 1usize..301,
+        salt in 0u32..1000,
+    ) {
+        let a = filled(&[m, k], salt);
+        let at = filled(&[k, m], salt.wrapping_add(1));
+        let b = filled(&[k, n], salt.wrapping_add(2));
+        let bt = filled(&[n, k], salt.wrapping_add(3));
+        let cases: [(&str, [Tensor; 3]); 3] = [
+            ("matmul", all_modes(|| matmul(&a, &b))),
+            ("at_b", all_modes(|| matmul_at_b(&at, &b))),
+            ("a_bt", all_modes(|| matmul_a_bt(&a, &bt))),
+        ];
+        for (name, r) in &cases {
+            prop_assert_eq!(bits(&r[0]), bits(&r[1]), "{}: simd vs tiled", name);
+            prop_assert_eq!(bits(&r[0]), bits(&r[2]), "{}: simd vs naive", name);
+        }
+    }
+
+    /// Convolution forward and backward over 1×1 and 3×3 kernels, strided
+    /// and padded (the strided backward takes the canonical col2im path,
+    /// stride 1 the tap-inverted one), and in every case also the pointwise
+    /// geometry (1×1, stride 1, no padding), which the blocked generations
+    /// run without unfolding. Batches reach ≥ 64 patch rows (the narrow
+    /// weight-gradient route), feature maps range from 2×2 to 12×12 — both
+    /// sides of the 16- and 32-lane vector widths — and up to 20 output
+    /// channels cross the narrow kernel's 16-column groups. Every
+    /// generation must match bit for bit.
     #[test]
     fn conv_bitwise_identical_across_generations(
-        n in 1usize..3,
-        c in 1usize..4,
-        o in 1usize..5,
-        hw in 4usize..9,
+        n in 1usize..9,
+        c in 1usize..13,
+        o in 1usize..21,
+        hw in 2usize..13,
+        k in prop_oneof![Just(1usize), Just(3usize)],
         stride in 1usize..3,
         pad in 0usize..2,
         salt in 0u32..1000,
     ) {
-        let spec = ConvSpec { stride, pad };
         let x = filled(&[n, c, hw, hw], salt);
-        let w = filled(&[o, c, 3, 3], salt.wrapping_add(1));
         let bias = filled(&[o], salt.wrapping_add(2));
-        let oh = spec.out_extent(hw, 3);
-        let ow = spec.out_extent(hw, 3);
-        let fwd = all_modes(|| conv2d(&x, &w, &bias, spec));
-        prop_assert_eq!(bits(&fwd[0]), bits(&fwd[1]), "forward: simd vs tiled");
-        prop_assert_eq!(bits(&fwd[0]), bits(&fwd[2]), "forward: simd vs naive");
-        let dout = filled(&[n, o, oh, ow], salt.wrapping_add(3));
-        let grads = all_modes(|| conv2d_backward(&x, &w, &dout, spec));
-        for (g, name) in grads.iter().zip(["simd", "tiled", "naive"]).skip(1) {
-            prop_assert_eq!(bits(&grads[0].dx), bits(&g.dx), "dx: simd vs {}", name);
-            prop_assert_eq!(bits(&grads[0].dw), bits(&g.dw), "dw: simd vs {}", name);
-            prop_assert_eq!(bits(&grads[0].db), bits(&g.db), "db: simd vs {}", name);
+        // A 2×2 map needs padding to fit a 3×3 kernel.
+        let pad = if hw + 2 * pad < k { 1 } else { pad };
+        for (k, spec) in [(k, ConvSpec { stride, pad }), (1, ConvSpec { stride: 1, pad: 0 })] {
+            let w = filled(&[o, c, k, k], salt.wrapping_add(1));
+            let oh = spec.out_extent(hw, k);
+            let dout = filled(&[n, o, oh, oh], salt.wrapping_add(3));
+            let r = conv_all_modes(&x, &w, &bias, &dout, spec, bits);
+            if let Err(e) = r {
+                prop_assert!(false, "k={} {:?}: {}", k, spec, e);
+            }
+        }
+    }
+}
+
+/// Forward and backward of one convolution under all three generations,
+/// compared through `key` (bit patterns, or bit patterns with NaN folded).
+fn conv_all_modes(
+    x: &Tensor,
+    w: &Tensor,
+    bias: &Tensor,
+    dout: &Tensor,
+    spec: ConvSpec,
+    key: fn(&Tensor) -> Vec<u32>,
+) -> Result<(), String> {
+    let fwd = all_modes(|| conv2d(x, w, bias, spec));
+    let grads = all_modes(|| conv2d_backward(x, w, dout, spec));
+    for (i, (_, name)) in MODES.iter().enumerate().skip(1) {
+        let pairs = [
+            ("y", &fwd[0], &fwd[i]),
+            ("dx", &grads[0].dx, &grads[i].dx),
+            ("dw", &grads[0].dw, &grads[i].dw),
+            ("db", &grads[0].db, &grads[i].db),
+        ];
+        for (what, simd, other) in pairs {
+            if key(simd) != key(other) {
+                return Err(format!("{what}: simd vs {name} diverged"));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Bit patterns with every NaN folded to one value: which NaN an
+/// invalid operation or a NaN operand yields depends on the operand order
+/// an instruction was given, which is outside the contract; where NaNs
+/// are, and every other bit, is inside it.
+fn bits_nan_folded(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| if v.is_nan() { f32::NAN.to_bits() } else { v.to_bits() }).collect()
+}
+
+/// Values drawn from `palette` by a fixed hash of the index.
+fn from_palette(shape: &[usize], palette: &[f32], salt: u32) -> Tensor {
+    let n: usize = shape.iter().product();
+    let data = (0..n)
+        .map(|i| {
+            let h = (i as u32).wrapping_mul(2654435761).wrapping_add(salt.wrapping_mul(40503));
+            palette[(h >> 7) as usize % palette.len()]
+        })
+        .collect();
+    Tensor::from_vec(data, shape)
+}
+
+/// Signed zeros, infinities, NaN, and operands whose products underflow
+/// to ±0.0 through every conv path. A chain of underflowing negative
+/// products ends in -0.0; the unfolded paths fold it onto a zeroed
+/// gradient (`0.0 + -0.0 = +0.0`), so the pointwise path must land on
+/// +0.0 too — y, dx, dw and db all match the naive generation.
+#[test]
+fn conv_special_values_match_naive() {
+    const TINY: [f32; 6] = [1e-30, -1e-30, 3e-31, -2e-31, 0.0, -0.0];
+    const WILD: [f32; 12] = [
+        1e-30,
+        -1e-30,
+        0.0,
+        -0.0,
+        1.5,
+        -2.0,
+        0.25,
+        1e-30,
+        -1e-30,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+    ];
+    let geometries = [
+        (1, ConvSpec { stride: 1, pad: 0 }),
+        (3, ConvSpec { stride: 1, pad: 1 }),
+        (3, ConvSpec { stride: 2, pad: 1 }),
+        (1, ConvSpec { stride: 2, pad: 0 }),
+    ];
+    for (salt, (n, c, o, hw)) in
+        [(8, 4, 4, 16), (8, 16, 20, 8), (3, 5, 7, 4), (8, 31, 17, 2)].into_iter().enumerate()
+    {
+        let salt = salt as u32 * 4;
+        for &(k, spec) in &geometries {
+            let oh = spec.out_extent(hw, k);
+            // All-tiny operands: every product underflows, so every chain
+            // is a signed zero; the bias and dout keep a zero of each sign.
+            let x = from_palette(&[n, c, hw, hw], &TINY, salt);
+            let w = from_palette(&[o, c, k, k], &TINY, salt + 1);
+            let bias = from_palette(&[o], &[0.0, -0.0], salt + 2);
+            let dout = from_palette(&[n, o, oh, oh], &TINY, salt + 3);
+            if let Err(e) = conv_all_modes(&x, &w, &bias, &dout, spec, bits) {
+                panic!("tiny operands, k={k} {spec:?} n={n} c={c} o={o} hw={hw}: {e}");
+            }
+            // Mixed specials: infinities and NaN among ordinary values.
+            let x = from_palette(&[n, c, hw, hw], &WILD, salt + 4);
+            let w = from_palette(&[o, c, k, k], &WILD, salt + 5);
+            let bias = from_palette(&[o], &WILD, salt + 6);
+            let dout = from_palette(&[n, o, oh, oh], &WILD, salt + 7);
+            if let Err(e) = conv_all_modes(&x, &w, &bias, &dout, spec, bits_nan_folded) {
+                panic!("special values, k={k} {spec:?} n={n} c={c} o={o} hw={hw}: {e}");
+            }
         }
     }
 }
